@@ -99,10 +99,10 @@ fn main() {
     let warm = try_sinkhorn_warm(&cost1, &ua, &ua, r0.f.clone(), r0.g.clone(), &opts)
         .expect("warm solve rejected");
     let plan_diff = cold
-        .plan
+        .plan(&cost1)
         .as_slice()
         .iter()
-        .zip(warm.plan.as_slice())
+        .zip(warm.plan(&cost1).as_slice())
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
     println!(
@@ -121,10 +121,10 @@ fn main() {
     let sweep_f32_s = time(sweep_iters, || sinkhorn_uniform(&cost0, &opts32));
     let r32 = sinkhorn_uniform(&cost0, &opts32);
     let sweep_plan_diff = r0
-        .plan
+        .plan(&cost0)
         .as_slice()
         .iter()
-        .zip(r32.plan.as_slice())
+        .zip(r32.plan(&cost0).as_slice())
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
     let sweep_speedup = sweep_f64_s / sweep_f32_s.max(1e-12);

@@ -1002,20 +1002,23 @@ fn critic_step(
     let cost_ab = pairwise_sq_dists_exec(&ea, &eb, cfg.exec);
     let lambda = cfg.resolve_lambda(&cost_ab);
     let opts = cfg.sinkhorn_options(lambda);
+    let cost_aa = pairwise_sq_dists_exec(&ea, &ea, cfg.exec);
+    let cost_bb = pairwise_sq_dists_exec(&eb, &eb, cfg.exec);
     let cross = sinkhorn_uniform(&cost_ab, &opts);
-    let self_a = sinkhorn_uniform(&pairwise_sq_dists_exec(&ea, &ea, cfg.exec), &opts);
-    let self_b = sinkhorn_uniform(&pairwise_sq_dists_exec(&eb, &eb, cfg.exec), &opts);
+    let self_a = sinkhorn_uniform(&cost_aa, &opts);
+    let self_b = sinkhorn_uniform(&cost_bb, &opts);
     let n = xb.rows() as f64;
     let value = (2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value) / (2.0 * n);
 
     let ones_a = Matrix::ones(ea.rows(), ea.cols());
     // dS/dEa = 2·∂OT(Ea,Eb) − ∂OT(Ea,Ea); same for Eb by symmetry
-    let mut g_ea = cross_ot_grad(&ea, &eb, &ones_a, &cross.plan).scale(2.0);
-    g_ea.axpy(-1.0, &self_ot_grad(&ea, &ones_a, &self_a.plan));
+    let cross_plan = cross.plan(&cost_ab);
+    let mut g_ea = cross_ot_grad(&ea, &eb, &ones_a, &cross_plan).scale(2.0);
+    g_ea.axpy(-1.0, &self_ot_grad(&ea, &ones_a, &self_a.plan(&cost_aa)));
     let g_ea = g_ea.scale(1.0 / (2.0 * n));
-    let cross_t = cross.plan.transpose();
+    let cross_t = cross_plan.transpose();
     let mut g_eb = cross_ot_grad(&eb, &ea, &ones_a, &cross_t).scale(2.0);
-    g_eb.axpy(-1.0, &self_ot_grad(&eb, &ones_a, &self_b.plan));
+    g_eb.axpy(-1.0, &self_ot_grad(&eb, &ones_a, &self_b.plan(&cost_bb)));
     let g_eb = g_eb.scale(1.0 / (2.0 * n));
 
     // --- critic ascent: maximize S ⇒ descend −S ---
@@ -1033,10 +1036,11 @@ fn critic_step(
         return None;
     }
     let cost2 = pairwise_sq_dists_exec(&ea2, &eb2, cfg.exec);
+    let cost2_aa = pairwise_sq_dists_exec(&ea2, &ea2, cfg.exec);
     let cross2 = sinkhorn_uniform(&cost2, &opts);
-    let self_a2 = sinkhorn_uniform(&pairwise_sq_dists_exec(&ea2, &ea2, cfg.exec), &opts);
-    let mut g_ea2 = cross_ot_grad(&ea2, &eb2, &ones_a, &cross2.plan).scale(2.0);
-    g_ea2.axpy(-1.0, &self_ot_grad(&ea2, &ones_a, &self_a2.plan));
+    let self_a2 = sinkhorn_uniform(&cost2_aa, &opts);
+    let mut g_ea2 = cross_ot_grad(&ea2, &eb2, &ones_a, &cross2.plan(&cost2)).scale(2.0);
+    g_ea2.axpy(-1.0, &self_ot_grad(&ea2, &ones_a, &self_a2.plan(&cost2_aa)));
     let g_ea2 = g_ea2.scale(1.0 / (2.0 * n));
     critic.net.zero_grad();
     let _ = critic.net.forward(&in_a, Mode::Eval, rng);

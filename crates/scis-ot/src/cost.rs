@@ -112,7 +112,7 @@ pub fn masked_sq_cost_decomposed_p(
         "masked_sq_cost_decomposed: feature dim mismatch"
     );
     let gram = matmul_bt_exec_p(&a.rows, &b.rows, exec, precision);
-    sq_dists_from_gram(&gram, &a.sq_norms, &b.sq_norms)
+    sq_dists_from_gram(gram, &a.sq_norms, &b.sq_norms, exec)
 }
 
 /// Self cost `C[i][j] = ‖m_i ⊙ x_i − m_j ⊙ x_j‖²` within one masked set.

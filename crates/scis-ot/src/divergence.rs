@@ -190,10 +190,11 @@ mod tests {
         let b = Matrix::from_fn(5, 2, |_, _| rng.uniform());
         let m = Matrix::ones(5, 2);
         let d = ms_divergence(&a, &b, &m, &opts(0.3));
-        for s in d.cross.plan.row_sums() {
+        let plan = d.cross.plan(&masked_sq_cost(&a, &m, &b, &m));
+        for s in plan.row_sums() {
             assert!((s - 0.2).abs() < 1e-7);
         }
-        for s in d.cross.plan.col_sums() {
+        for s in plan.col_sums() {
             assert!((s - 0.2).abs() < 1e-7);
         }
     }

@@ -9,11 +9,18 @@
 //!
 //! ```text
 //! ∂OT/∂x̄_i = Σ_j P*_ij · 2 (m_i ⊙ x̄_i − m_j ⊙ x_j) ⊙ m_i
+//!          = 2 m_i ⊙ (m_i ⊙ x̄_i · Σ_j P*_ij − Σ_j P*_ij (m_j ⊙ x_j))
 //! ```
 //!
 //! The self term `OT_λ(ν̂, ν̂)` contributes twice (x̄ appears in both
 //! marginals; plan and cost are symmetric). Gradients here are verified
 //! against central finite differences of the actual Sinkhorn values.
+//!
+//! The second form needs only each row's mass `Σ_j P_ij` and barycentric sum
+//! `Σ_j P_ij (m_j ⊙ x_j)`, so the `ms_loss_grad*` functions stream `P` row by
+//! row from `(cost, f, g)` — rows in parallel, no `n x m` plan buffer.
+//! [`cross_ot_grad`] and [`self_ot_grad`] keep the plan-based first form:
+//! the critic path uses them, and tests hold the streamed gradient to them.
 
 use crate::cache::{DualCache, SolveKind};
 use crate::cost::{
@@ -22,29 +29,14 @@ use crate::cost::{
 use crate::sinkhorn::{
     sinkhorn_uniform, try_sinkhorn_uniform_eps_scaling, try_sinkhorn_uniform_escalated,
     try_sinkhorn_uniform_warm_escalated, EscalationPolicy, SinkhornError, SinkhornOptions,
-    SinkhornResult, SolveStats,
+    SinkhornResult, SolveStats, PAR_MIN_CELLS,
 };
-use scis_tensor::exec::for_each_row;
-use scis_tensor::par::PAR_MIN_WORK;
+use scis_tensor::exec::for_row_spans;
 use scis_tensor::{ExecPolicy, Matrix};
 
-/// Gradient of the *cross* entropic OT value `OT_λ^m(x̄, x)` w.r.t. `x̄`.
-///
-/// Serial convenience wrapper around [`cross_ot_grad_with`].
+/// Gradient of the *cross* entropic OT value `OT_λ^m(x̄, x)` w.r.t. `x̄`,
+/// from a materialized plan (serial; the reference form of Proposition 1).
 pub fn cross_ot_grad(xbar: &Matrix, x: &Matrix, mask: &Matrix, plan: &Matrix) -> Matrix {
-    cross_ot_grad_with(xbar, x, mask, plan, ExecPolicy::Serial)
-}
-
-/// Policy-aware [`cross_ot_grad`]: gradient rows are independent, so large
-/// batches are computed in parallel over row blocks, bit-identical to the
-/// serial loop.
-pub fn cross_ot_grad_with(
-    xbar: &Matrix,
-    x: &Matrix,
-    mask: &Matrix,
-    plan: &Matrix,
-    exec: ExecPolicy,
-) -> Matrix {
     let (n, d) = xbar.shape();
     assert_eq!(
         plan.shape(),
@@ -52,19 +44,11 @@ pub fn cross_ot_grad_with(
         "cross_ot_grad: plan shape mismatch"
     );
     let mut grad = Matrix::zeros(n, d);
-    if d == 0 {
-        return grad;
-    }
-    let threads = if n * x.rows() * d < PAR_MIN_WORK {
-        1
-    } else {
-        exec.workers(n)
-    };
-    for_each_row(grad.as_mut_slice(), d, threads, |i, grow| {
+    for i in 0..n {
         let mi = mask.row(i);
         let xi = xbar.row(i);
-        let prow = plan.row(i);
-        for (j, &p) in prow.iter().enumerate() {
+        let grow = grad.row_mut(i);
+        for (j, &p) in plan.row(i).iter().enumerate() {
             if p == 0.0 {
                 continue;
             }
@@ -74,7 +58,7 @@ pub fn cross_ot_grad_with(
                 grow[k] += p * 2.0 * (mi[k] * xi[k] - mj[k] * xj[k]) * mi[k];
             }
         }
-    });
+    }
     grad
 }
 
@@ -84,9 +68,95 @@ pub fn self_ot_grad(xbar: &Matrix, mask: &Matrix, plan: &Matrix) -> Matrix {
     cross_ot_grad(xbar, xbar, mask, plan).scale(2.0)
 }
 
-/// Policy-aware [`self_ot_grad`].
-pub fn self_ot_grad_with(xbar: &Matrix, mask: &Matrix, plan: &Matrix, exec: ExecPolicy) -> Matrix {
-    cross_ot_grad_with(xbar, xbar, mask, plan, exec).scale(2.0)
+/// One solved problem feeding [`streamed_grad`]: its cost, its solve, the
+/// masked rows `m_j ⊙ x_j` of its second marginal, and the weight of its
+/// Proposition-1 gradient in the total.
+struct GradTerm<'a> {
+    cost: &'a Matrix,
+    solve: &'a SinkhornResult,
+    targets: &'a Matrix,
+    weight: f64,
+}
+
+/// `Σ_t weight_t · 2 m_i ⊙ (m_i ⊙ x̄_i · Σ_j P^t_ij − Σ_j P^t_ij (m_j ⊙ x_j))`
+/// for every row `i` of `x̄`, streaming each plan row from its duals.
+///
+/// Rows are independent and each is computed by one worker with the same
+/// arithmetic, so the result is bit-identical at any thread count.
+fn streamed_grad(xbar: &Matrix, mask: &Matrix, terms: &[GradTerm<'_>], exec: ExecPolicy) -> Matrix {
+    let (n, d) = xbar.shape();
+    let mut grad = Matrix::zeros(n, d);
+    if d == 0 || n == 0 {
+        return grad;
+    }
+    let m = terms.iter().map(|t| t.cost.cols()).max().unwrap_or(0);
+    let threads = if n * m < PAR_MIN_CELLS {
+        1
+    } else {
+        exec.workers(n)
+    };
+    for_row_spans(grad.as_mut_slice(), d, threads, |r0, span| {
+        let mut log_p = vec![0.0; m];
+        let mut bary = vec![0.0; d];
+        for (di, grow) in span.chunks_exact_mut(d).enumerate() {
+            let i = r0 + di;
+            let (mi, xi) = (mask.row(i), xbar.row(i));
+            for t in terms {
+                let crow = t.cost.row(i);
+                let log_p = &mut log_p[..crow.len()];
+                t.solve.log_plan_row(i, crow, log_p);
+                let mut mass = 0.0;
+                bary.fill(0.0);
+                for (j, &lp) in log_p.iter().enumerate() {
+                    let p = lp.exp();
+                    if p == 0.0 {
+                        continue;
+                    }
+                    mass += p;
+                    for (b, &y) in bary.iter_mut().zip(t.targets.row(j)) {
+                        *b += p * y;
+                    }
+                }
+                for k in 0..d {
+                    grow[k] += t.weight * 2.0 * mi[k] * (mi[k] * xi[k] * mass - bary[k]);
+                }
+            }
+        }
+    });
+    grad
+}
+
+/// Proposition 1's gradient of `L_s = (2·OT(x̄, x) − OT(x̄, x̄) − OT(x, x)) / (2n)`
+/// w.r.t. `x̄` from the cross and generator-self solves (the data-self term
+/// does not depend on `x̄`).
+#[allow(clippy::too_many_arguments)]
+fn ms_grad(
+    xbar: &Matrix,
+    x: &Matrix,
+    mask: &Matrix,
+    cross_cost: &Matrix,
+    cross: &SinkhornResult,
+    self_cost: &Matrix,
+    self_a: &SinkhornResult,
+    exec: ExecPolicy,
+) -> Matrix {
+    let inv_2n = 1.0 / (2.0 * x.rows().max(1) as f64);
+    let (x_m, xbar_m) = (x.hadamard(mask), xbar.hadamard(mask));
+    let terms = [
+        GradTerm {
+            cost: cross_cost,
+            solve: cross,
+            targets: &x_m,
+            weight: 2.0 * inv_2n,
+        },
+        GradTerm {
+            cost: self_cost,
+            solve: self_a,
+            targets: &xbar_m,
+            weight: -2.0 * inv_2n,
+        },
+    ];
+    streamed_grad(xbar, mask, &terms, exec)
 }
 
 /// Computes the MS-divergence imputation loss `L_s = S_m / (2n)` and its
@@ -113,13 +183,17 @@ pub fn ms_loss_grad(
 
     let value = 2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value;
     let loss = value / (2.0 * n);
-
-    let g_cross = cross_ot_grad_with(xbar, x, mask, &cross.plan, opts.exec);
-    let g_self = self_ot_grad_with(xbar, mask, &self_a.plan, opts.exec);
-    // dS/dx̄ = 2·g_cross − g_self ; dL/dx̄ = dS/dx̄ / (2n)
-    let mut grad = g_cross.scale(2.0);
-    grad.axpy(-1.0, &g_self);
-    (loss, grad.scale(1.0 / (2.0 * n)))
+    let grad = ms_grad(
+        xbar,
+        x,
+        mask,
+        &cross_cost,
+        &cross,
+        &self_a_cost,
+        &self_a,
+        opts.exec,
+    );
+    (loss, grad)
 }
 
 /// Fault-tolerant variant of [`ms_loss_grad`]: validates every Sinkhorn
@@ -150,12 +224,17 @@ pub fn ms_loss_grad_tracked(
 
     let value = 2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value;
     let loss = value / (2.0 * n);
-
-    let g_cross = cross_ot_grad_with(xbar, x, mask, &cross.plan, opts.exec);
-    let g_self = self_ot_grad_with(xbar, mask, &self_a.plan, opts.exec);
-    let mut grad = g_cross.scale(2.0);
-    grad.axpy(-1.0, &g_self);
-    Ok((loss, grad.scale(1.0 / (2.0 * n)), stats))
+    let grad = ms_grad(
+        xbar,
+        x,
+        mask,
+        &cross_cost,
+        &cross,
+        &self_a_cost,
+        &self_a,
+        opts.exec,
+    );
+    Ok((loss, grad, stats))
 }
 
 /// Hot-path context for [`ms_loss_grad_accel`]: the shared dual cache, the
@@ -284,12 +363,17 @@ pub fn ms_loss_grad_accel(
 
     let value = 2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value;
     let loss = value / (2.0 * n);
-
-    let g_cross = cross_ot_grad_with(xbar, x, mask, &cross.plan, opts.exec);
-    let g_self = self_ot_grad_with(xbar, mask, &self_a.plan, opts.exec);
-    let mut grad = g_cross.scale(2.0);
-    grad.axpy(-1.0, &g_self);
-    Ok((loss, grad.scale(1.0 / (2.0 * n)), stats))
+    let grad = ms_grad(
+        xbar,
+        x,
+        mask,
+        &cross_cost,
+        &cross,
+        &self_a_cost,
+        &self_a,
+        opts.exec,
+    );
+    Ok((loss, grad, stats))
 }
 
 #[cfg(test)]
@@ -336,6 +420,88 @@ mod tests {
                 numeric,
                 analytic
             );
+        }
+    }
+
+    /// Largest |want − got| relative to the largest |want| entry.
+    fn max_rel_diff(got: &Matrix, want: &Matrix) -> f64 {
+        let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        got.as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .map(|(g, w)| (g - w).abs() / scale)
+            .fold(0.0, f64::max)
+    }
+
+    /// A batch pair over `n` rows with every fifth row fully masked.
+    fn masked_batch(n: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let x = Matrix::from_fn(n, 4, |_, _| rng.uniform());
+        let xbar = Matrix::from_fn(n, 4, |_, _| rng.uniform());
+        let mask = Matrix::from_fn(n, 4, |i, _| {
+            if i % 5 == 3 || !rng.bernoulli(0.7) {
+                0.0
+            } else {
+                1.0
+            }
+        });
+        (x, xbar, mask)
+    }
+
+    #[test]
+    fn streamed_gradient_matches_the_plan_based_reference() {
+        for n in [7usize, 128, 1024] {
+            let (x, xbar, mask) = masked_batch(n, 60 + n as u64);
+            let cross_cost = masked_sq_cost_with(&xbar, &mask, &x, &mask, ExecPolicy::Serial);
+            let self_cost = masked_self_cost_with(&xbar, &mask, ExecPolicy::Serial);
+            let o = SinkhornOptions::with_lambda(0.1 * cross_cost.mean())
+                .max_iters(20)
+                .exec(ExecPolicy::threads(2));
+            let (_, grad) = ms_loss_grad(&xbar, &x, &mask, &o);
+
+            // the same (deterministic) solves, differentiated through
+            // materialized plans
+            let cross = sinkhorn_uniform(&cross_cost, &o);
+            let self_a = sinkhorn_uniform(&self_cost, &o);
+            let mut want = cross_ot_grad(&xbar, &x, &mask, &cross.plan(&cross_cost)).scale(2.0);
+            want.axpy(-1.0, &self_ot_grad(&xbar, &mask, &self_a.plan(&self_cost)));
+            let want = want.scale(1.0 / (2.0 * n as f64));
+            let rel = max_rel_diff(&grad, &want);
+            assert!(rel <= 1e-12, "n={n}: streamed gradient off by {rel:e}");
+            for i in (0..n).filter(|i| i % 5 == 3) {
+                assert!(grad.row(i).iter().all(|&v| v == 0.0), "masked row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_gradient_handles_zero_weight_marginal_entries() {
+        use crate::sinkhorn::try_sinkhorn;
+        let n = 128;
+        let (x, xbar, mask) = masked_batch(n, 70);
+        let cost = masked_sq_cost_with(&xbar, &mask, &x, &mask, ExecPolicy::Serial);
+        let holey = |offset: usize| -> Vec<f64> {
+            let raw: Vec<f64> = (0..n).map(|i| (i % 7 != offset) as u8 as f64).collect();
+            let total: f64 = raw.iter().sum();
+            raw.iter().map(|v| v / total).collect()
+        };
+        let o = SinkhornOptions::with_lambda(0.1 * cost.mean()).max_iters(50);
+        let r = try_sinkhorn(&cost, &holey(2), &holey(5), &o).unwrap();
+        let x_m = x.hadamard(&mask);
+        let term = GradTerm {
+            cost: &cost,
+            solve: &r,
+            targets: &x_m,
+            weight: 1.0,
+        };
+        let got = streamed_grad(&xbar, &mask, &[term], ExecPolicy::threads(3));
+        let want = cross_ot_grad(&xbar, &x, &mask, &r.plan(&cost));
+        assert!(got.as_slice().iter().all(|v| v.is_finite()));
+        let rel = max_rel_diff(&got, &want);
+        assert!(rel <= 1e-12, "streamed gradient off by {rel:e}");
+        // rows with no mass get no gradient
+        for i in (0..n).filter(|i| i % 7 == 2) {
+            assert!(got.row(i).iter().all(|&v| v == 0.0), "zero-mass row {i}");
         }
     }
 

@@ -9,11 +9,16 @@
 //! * [`cost::masked_sq_cost`] — the masking cost matrix
 //!   `C_m[i][j] = ‖m_i ⊙ x̄_i − m_j ⊙ x_j‖²` (Definition 2);
 //! * [`sinkhorn::sinkhorn_uniform`] — log-domain Sinkhorn iterations solving
-//!   the entropic-regularized plan of Definition 3;
+//!   the entropic-regularized problem of Definition 3. A solve returns the
+//!   dual potentials and the objective, reduced from `log P` in one parallel
+//!   pass; the plan itself is materialized only on demand
+//!   ([`SinkhornResult::plan`]);
 //! * [`divergence::ms_divergence`] — the debiased divergence
 //!   `S_m(ν‖μ) = 2·OT_λ(ν,μ) − OT_λ(ν,ν) − OT_λ(μ,μ)` (Definition 4);
 //! * [`grad::ms_loss_grad`] — the barycentric-map gradient of Proposition 1,
-//!   verified against finite differences in tests.
+//!   streamed row by row from the duals without an `n x m` plan buffer, and
+//!   verified against finite differences and the plan-based
+//!   [`grad::cross_ot_grad`] in tests.
 
 pub mod cache;
 pub mod cost;
@@ -29,7 +34,7 @@ pub use cost::{
 };
 pub use divergence::{ms_divergence, ms_loss, MsDivergenceValue};
 pub use grad::{
-    cross_ot_grad_with, ms_loss_grad, ms_loss_grad_accel, ms_loss_grad_tracked, self_ot_grad_with,
+    cross_ot_grad, ms_loss_grad, ms_loss_grad_accel, ms_loss_grad_tracked, self_ot_grad,
     AccelContext,
 };
 pub use sinkhorn::{

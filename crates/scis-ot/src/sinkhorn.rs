@@ -12,15 +12,16 @@
 //! paper uses on [0,1]-normalized data *and* tiny λ where the kernel
 //! `exp(−C/λ)` would underflow in the primal domain.
 
-use scis_tensor::exec::{for_each_row, for_row_spans};
+use scis_tensor::exec::for_row_spans;
 use scis_tensor::fastmath::{fast_exp, fast_exp_shifted};
 use scis_tensor::ops::to_f32_vec;
 use scis_tensor::{ExecPolicy, Matrix, Precision, RunDeadline};
 
 /// Minimum number of cost-matrix cells (`n · m`) before the per-iteration
-/// sweeps go parallel: below this, thread-spawn overhead dominates, and DIM's
+/// sweeps (and the other per-cell `exp` passes over a solved problem) go
+/// parallel: below this, thread-spawn overhead dominates, and DIM's
 /// per-batch solves (≤ a few hundred rows) stay on the serial fast path.
-const PAR_MIN_CELLS: usize = 1 << 15;
+pub(crate) const PAR_MIN_CELLS: usize = 1 << 15;
 
 /// Tuning knobs for the Sinkhorn solver.
 #[derive(Debug, Clone)]
@@ -44,10 +45,11 @@ pub struct SinkhornOptions {
     /// [`Precision::F64`] is the bit-stable reference path. Under
     /// [`Precision::F32`] the cost matrix is stored as `f32`, `C/λ` becomes
     /// a multiply by `1/λ`, and the sweep exponentials use the polynomial
-    /// [`fast_exp`] — accumulators and potentials stay `f64`, the final plan
-    /// is always materialized from the full-precision cost with libm `exp`,
-    /// and results remain bit-identical across thread counts *within* the
-    /// mode. Opt-in via `AccelConfig::f32_compute` upstream.
+    /// [`fast_exp`] — accumulators and potentials stay `f64`, the objective
+    /// (and any on-demand plan) is always evaluated from the full-precision
+    /// cost with libm `exp`, and results remain bit-identical across thread
+    /// counts *within* the mode. Opt-in via `AccelConfig::f32_compute`
+    /// upstream.
     pub precision: Precision,
 }
 
@@ -111,14 +113,19 @@ impl SinkhornOptions {
 }
 
 /// Output of a Sinkhorn solve.
+///
+/// The transport plan is not stored: it is a function of the cost and the
+/// duals, `log P_ij = log a_i + log b_j + (f_i + g_j − C_ij)/λ`, which
+/// [`SinkhornResult::plan`] materializes on demand. The objective terms are
+/// reduced from `log P` during the solve, and the DIM gradient streams
+/// `P` row by row (see [`crate::grad`]), so no `n x m` plan buffer is built
+/// on the training path.
 #[derive(Debug, Clone)]
 pub struct SinkhornResult {
     /// Dual potential on the first marginal (length `n`).
     pub f: Vec<f64>,
     /// Dual potential on the second marginal (length `m`).
     pub g: Vec<f64>,
-    /// Optimal transport plan `P` (`n x m`, rows sum to `a`, cols to `b`).
-    pub plan: Matrix,
     /// Sharp transport cost `⟨P, C⟩`.
     pub transport_cost: f64,
     /// Regularized objective `⟨P, C⟩ + λ Σ P log P` (Definition 3's value).
@@ -127,6 +134,54 @@ pub struct SinkhornResult {
     pub iterations: usize,
     /// Whether the marginal tolerance was met within `max_iters`.
     pub converged: bool,
+    /// `log a` (−∞ on zero-weight entries).
+    pub(crate) log_a: Vec<f64>,
+    /// `log b` (−∞ on zero-weight entries).
+    pub(crate) log_b: Vec<f64>,
+    /// λ of the solve that produced the duals.
+    pub(crate) lambda: f64,
+}
+
+impl SinkhornResult {
+    /// `log P_ij` for the plan's row `i`, written into `out` (length `m`).
+    ///
+    /// This is the one expression every consumer of the plan evaluates —
+    /// the objective epilogue, [`SinkhornResult::plan`] and the streamed
+    /// gradient — so they all see the same bits for the same cell.
+    #[inline]
+    pub(crate) fn log_plan_row(&self, i: usize, cost_row: &[f64], out: &mut [f64]) {
+        let (la, fi, lam) = (self.log_a[i], self.f[i], self.lambda);
+        for ((o, &c), (&lb, &gj)) in out
+            .iter_mut()
+            .zip(cost_row)
+            .zip(self.log_b.iter().zip(&self.g))
+        {
+            *o = la + lb + (fi + gj - c) / lam;
+        }
+    }
+
+    /// Materializes the transport plan `P` (`n x m`, rows sum to `a`, cols
+    /// to `b`) from the cost matrix the solve ran on.
+    ///
+    /// Serial, and builds the whole `n x m` matrix: the training path never
+    /// calls it. It serves tests, the critic's plan-based gradient and
+    /// benches.
+    ///
+    /// # Panics
+    /// Panics if `cost` does not have the solved problem's shape.
+    pub fn plan(&self, cost: &Matrix) -> Matrix {
+        let (n, m) = (self.f.len(), self.g.len());
+        assert_eq!(cost.shape(), (n, m), "SinkhornResult::plan: cost shape");
+        let mut plan = Matrix::zeros(n, m);
+        for i in 0..n {
+            let prow = plan.row_mut(i);
+            self.log_plan_row(i, cost.row(i), prow);
+            for p in prow.iter_mut() {
+                *p = p.exp();
+            }
+        }
+        plan
+    }
 }
 
 /// Structured failure from a fallible Sinkhorn solve.
@@ -275,17 +330,37 @@ fn validate_inputs(
 
 /// Numerically stable `log Σ exp(t_j)` over a materialized term buffer.
 ///
-/// The sequential ascending max fold and the ascending `exp` sum reproduce,
-/// bit for bit, the historical two-pass iterator formulation — the buffer
-/// only avoids evaluating each term's arithmetic twice. The max fold stays
-/// strictly sequential on purpose: `f64::max` is not associative around
-/// signed zeros, so a multi-lane max could change which representative wins.
+/// The ascending `exp` sum reproduces, bit for bit, the historical two-pass
+/// iterator formulation — the buffer only avoids evaluating each term's
+/// arithmetic twice.
+///
+/// The max fold runs over four independent lanes, which breaks the
+/// one-`f64::max`-latency-per-element chain and returns the same bits as
+/// the sequential fold. `f64::max` ignores NaN whatever the order, so the
+/// lanes agree on the largest value and can differ only in which signed
+/// zero represents a zero maximum. That choice never reaches the result:
+/// `t − (±0)` is the same for every `t` up to the sign of a zero, which
+/// `exp` maps to 1 either way, and `±0 + ln(sum)` is the same as well,
+/// since `sum ≥ 1`.
 #[inline]
 fn lse_terms(terms: &[f64]) -> f64 {
-    let mut max = f64::NEG_INFINITY;
-    for &t in terms {
-        max = f64::max(max, t);
+    let (mut m0, mut m1, mut m2, mut m3) = (
+        f64::NEG_INFINITY,
+        f64::NEG_INFINITY,
+        f64::NEG_INFINITY,
+        f64::NEG_INFINITY,
+    );
+    let mut chunks = terms.chunks_exact(4);
+    for ch in &mut chunks {
+        m0 = f64::max(m0, ch[0]);
+        m1 = f64::max(m1, ch[1]);
+        m2 = f64::max(m2, ch[2]);
+        m3 = f64::max(m3, ch[3]);
     }
+    for &t in chunks.remainder() {
+        m0 = f64::max(m0, t);
+    }
+    let max = f64::max(f64::max(m0, m1), f64::max(m2, m3));
     if max == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
     }
@@ -298,13 +373,11 @@ fn lse_terms(terms: &[f64]) -> f64 {
 
 /// [`lse_terms`] with the polynomial [`fast_exp`] — accelerated-mode only.
 ///
-/// Three departures from the reference, all legal in accelerated mode
-/// (each row is still produced by exactly one worker with a fixed
-/// reduction structure, so results stay bit-identical across thread
-/// counts *within* the mode):
+/// It shares the reference's four-lane max fold. Two departures from the
+/// reference, both legal in accelerated mode (each row is still produced
+/// by exactly one worker with a fixed reduction structure, so results stay
+/// bit-identical across thread counts *within* the mode):
 ///
-/// * the max fold runs over four independent lanes, breaking the
-///   one-`maxsd`-latency-per-element chain;
 /// * exponentiation ([`fast_exp_shifted`]) runs as its own in-place pass
 ///   so the polynomial pipelines/vectorizes across the row instead of
 ///   serializing on the sum accumulator (the buffer is consumed);
@@ -430,17 +503,23 @@ fn sinkhorn_impl(
     // A transposed copy of the cost lets the g-sweep walk contiguous rows
     // instead of strided columns. The values and their iteration order are
     // unchanged, so the default path does not move a bit; the one-time
-    // `n·m` copy is amortized over every sweep of every iteration.
-    let cost_t = cost.transpose();
+    // blocked `n·m` copy is amortized over every sweep of every iteration.
+    //
     // Accelerated mode: `f32` cost storage (halved sweep bandwidth), the
     // division by λ folded into a reciprocal multiply, and `fast_exp` in
-    // the sweeps. Potentials and accumulators stay `f64`, and the final
-    // plan below is always materialized from the full-precision cost.
+    // the sweeps. Potentials and accumulators stay `f64`, and the objective
+    // below is always reduced from the full-precision cost. Each mode builds
+    // only the copies its own loop reads; the f32 transpose is narrowed
+    // straight from the f64 cost.
     let f32_mode = opts.precision.is_f32();
-    let (cost32, cost_t32) = if f32_mode {
-        (to_f32_vec(cost), to_f32_vec(&cost_t))
+    let (cost_t, cost32, cost_t32) = if f32_mode {
+        (
+            Matrix::zeros(0, 0),
+            to_f32_vec(cost),
+            cost.transpose_map(|v| v as f32),
+        )
     } else {
-        (Vec::new(), Vec::new())
+        (cost.transpose(), Vec::new(), Vec::new())
     };
     let inv_lam = 1.0 / lam;
 
@@ -542,15 +621,17 @@ fn sinkhorn_impl(
         iterations = it + 1;
         // f_i ← −λ LSE_j [ log b_j + (g_j − C_ij)/λ ]
         // Span iteration gives each worker one term buffer for its whole
-        // block of rows rather than an allocation per row.
+        // block of rows rather than an allocation per row; the cell loops
+        // walk zipped slices, so they carry no bounds checks.
         {
             let g = &g;
             for_row_spans(&mut f, 1, threads, |r0, span| {
                 let mut terms = vec![0.0; m];
                 for (di, fi) in span.iter_mut().enumerate() {
                     let row = cost.row(r0 + di);
-                    for j in 0..m {
-                        terms[j] = log_b[j] + (g[j] - row[j]) / lam;
+                    for ((t, &c), (&lb, &gj)) in terms.iter_mut().zip(row).zip(log_b.iter().zip(g))
+                    {
+                        *t = lb + (gj - c) / lam;
                     }
                     *fi = -lam * lse_terms(&terms);
                 }
@@ -563,8 +644,9 @@ fn sinkhorn_impl(
                 let mut terms = vec![0.0; n];
                 for (dj, gj) in span.iter_mut().enumerate() {
                     let col = cost_t.row(c0 + dj);
-                    for i in 0..n {
-                        terms[i] = log_a[i] + (f[i] - col[i]) / lam;
+                    for ((t, &c), (&la, &fi)) in terms.iter_mut().zip(col).zip(log_a.iter().zip(f))
+                    {
+                        *t = la + (fi - c) / lam;
                     }
                     *gj = -lam * lse_terms(&terms);
                 }
@@ -579,9 +661,9 @@ fn sinkhorn_impl(
                 for (di, slot) in span.iter_mut().enumerate() {
                     let i = r0 + di;
                     let mut row_sum = 0.0;
-                    let row = cost.row(i);
-                    for j in 0..m {
-                        row_sum += (log_a[i] + log_b[j] + (f[i] + g[j] - row[j]) / lam).exp();
+                    let (la, fi) = (log_a[i], f[i]);
+                    for (&c, (&lb, &gj)) in cost.row(i).iter().zip(log_b.iter().zip(g)) {
+                        row_sum += (la + lb + (fi + gj - c) / lam).exp();
                     }
                     *slot = (row_sum - a[i]).abs();
                 }
@@ -594,42 +676,51 @@ fn sinkhorn_impl(
         }
     }
 
-    // materialize plan (rows in parallel), then reduce the objective terms
-    // serially in row-major order — the same summation chain as the serial
-    // reference, so reg_value is independent of the thread count
-    let mut plan = Matrix::zeros(n, m);
+    let mut result = SinkhornResult {
+        f,
+        g,
+        transport_cost: 0.0,
+        reg_value: 0.0,
+        iterations,
+        converged,
+        log_a,
+        log_b,
+        lambda: lam,
+    };
+    // Plan-free epilogue: one parallel row pass takes each row's ⟨P,C⟩ and
+    // Σ P log P straight from log P (no plan buffer, no second `ln`); cells
+    // whose `exp` underflows to zero carry no mass and are skipped. The row
+    // partials are summed in ascending row order, so the objective is
+    // bit-identical at any thread count.
+    let mut partials = vec![0.0; 2 * n];
     {
-        let (f, g) = (&f, &g);
-        for_each_row(plan.as_mut_slice(), m, threads, |i, prow| {
-            let crow = cost.row(i);
-            for (j, p) in prow.iter_mut().enumerate() {
-                let log_p = log_a[i] + log_b[j] + (f[i] + g[j] - crow[j]) / lam;
-                *p = log_p.exp();
+        let r = &result;
+        for_row_spans(&mut partials, 2, threads, |r0, span| {
+            let mut log_p = vec![0.0; m];
+            for (di, out) in span.chunks_exact_mut(2).enumerate() {
+                let crow = cost.row(r0 + di);
+                r.log_plan_row(r0 + di, crow, &mut log_p);
+                let (mut tc, mut ne) = (0.0, 0.0);
+                for (&lp, &c) in log_p.iter().zip(crow) {
+                    let p = lp.exp();
+                    if p > 0.0 {
+                        tc += p * c;
+                        ne += p * lp;
+                    }
+                }
+                out[0] = tc;
+                out[1] = ne;
             }
         });
     }
-    let mut transport_cost = 0.0;
-    let mut neg_entropy = 0.0;
-    for i in 0..n {
-        let crow = cost.row(i);
-        for (j, &val) in plan.row(i).iter().enumerate() {
-            if val > 0.0 {
-                transport_cost += val * crow[j];
-                neg_entropy += val * val.ln();
-            }
-        }
+    let (mut transport_cost, mut neg_entropy) = (0.0, 0.0);
+    for row in partials.chunks_exact(2) {
+        transport_cost += row[0];
+        neg_entropy += row[1];
     }
-    let reg_value = transport_cost + lam * neg_entropy;
-
-    SinkhornResult {
-        f,
-        g,
-        plan,
-        transport_cost,
-        reg_value,
-        iterations,
-        converged,
-    }
+    result.transport_cost = transport_cost;
+    result.reg_value = transport_cost + lam * neg_entropy;
+    result
 }
 
 /// Sinkhorn with uniform marginals `a = b = 1/n` — the empirical-measure
@@ -1072,6 +1163,46 @@ mod tests {
     }
 
     #[test]
+    fn four_lane_lse_matches_the_sequential_fold() {
+        // the historical single-chain fold, kept as the reference
+        fn sequential(terms: &[f64]) -> f64 {
+            let mut max = f64::NEG_INFINITY;
+            for &t in terms {
+                max = f64::max(max, t);
+            }
+            if max == f64::NEG_INFINITY {
+                return f64::NEG_INFINITY;
+            }
+            let mut sum = 0.0;
+            for &t in terms {
+                sum += (t - max).exp();
+            }
+            max + sum.ln()
+        }
+        let pool = [
+            0.0,
+            -0.0,
+            -1.0,
+            2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            -745.0,
+        ];
+        // random rows of length 0..=6 over the pool, so signed-zero maxima,
+        // NaN, ±∞ and all-−∞ rows all occur
+        let mut rng = scis_tensor::Rng64::seed_from_u64(3);
+        for k in 0..20_000 {
+            let terms: Vec<f64> = (0..k % 7)
+                .map(|_| pool[rng.gen_range(pool.len())])
+                .collect();
+            let (got, want) = (lse_terms(&terms), sequential(&terms));
+            assert_eq!(got.to_bits(), want.to_bits(), "{terms:?}");
+        }
+    }
+
+    #[test]
     fn plan_satisfies_marginals() {
         let c = toy_cost();
         let r = sinkhorn_uniform(
@@ -1088,12 +1219,13 @@ mod tests {
             "not converged after {} iterations",
             r.iterations
         );
-        let rows = r.plan.row_sums();
-        let cols = r.plan.col_sums();
+        let plan = r.plan(&c);
+        let rows = plan.row_sums();
+        let cols = plan.col_sums();
         for v in rows.iter().chain(cols.iter()) {
             assert!((v - 1.0 / 3.0).abs() < 1e-7, "marginal {}", v);
         }
-        assert!(r.plan.as_slice().iter().all(|&p| p >= 0.0));
+        assert!(plan.as_slice().iter().all(|&p| p >= 0.0));
     }
 
     #[test]
@@ -1112,8 +1244,9 @@ mod tests {
         // unregularized OT = 0 (identity assignment)
         assert!(r.transport_cost < 0.01, "cost {}", r.transport_cost);
         // plan concentrates on the diagonal
+        let plan = r.plan(&c);
         for i in 0..3 {
-            assert!(r.plan[(i, i)] > 0.3, "P[{0}][{0}] = {1}", i, r.plan[(i, i)]);
+            assert!(plan[(i, i)] > 0.3, "P[{0}][{0}] = {1}", i, plan[(i, i)]);
         }
     }
 
@@ -1121,7 +1254,7 @@ mod tests {
     fn large_lambda_spreads_the_plan_to_product_measure() {
         let c = toy_cost();
         let r = sinkhorn_uniform(&c, &SinkhornOptions::with_lambda(1e4));
-        for p in r.plan.as_slice() {
+        for p in r.plan(&c).as_slice() {
             assert!((p - 1.0 / 9.0).abs() < 1e-3, "plan entry {}", p);
         }
     }
@@ -1132,8 +1265,9 @@ mod tests {
         let a = [0.7, 0.3];
         let b = [0.4, 0.6];
         let r = sinkhorn(&c, &a, &b, &SinkhornOptions::with_lambda(0.05));
-        let rows = r.plan.row_sums();
-        let cols = r.plan.col_sums();
+        let plan = r.plan(&c);
+        let rows = plan.row_sums();
+        let cols = plan.col_sums();
         assert!((rows[0] - 0.7).abs() < 1e-6);
         assert!((rows[1] - 0.3).abs() < 1e-6);
         assert!((cols[0] - 0.4).abs() < 1e-6);
@@ -1145,11 +1279,12 @@ mod tests {
         let c = Matrix::from_fn(4, 7, |i, j| ((i as f64) - (j as f64) * 0.5).powi(2));
         let r = sinkhorn_uniform(&c, &SinkhornOptions::with_lambda(0.2));
         assert!(r.converged);
-        assert_eq!(r.plan.shape(), (4, 7));
-        for v in r.plan.row_sums() {
+        let plan = r.plan(&c);
+        assert_eq!(plan.shape(), (4, 7));
+        for v in plan.row_sums() {
             assert!((v - 0.25).abs() < 1e-7);
         }
-        for v in r.plan.col_sums() {
+        for v in plan.col_sums() {
             assert!((v - 1.0 / 7.0).abs() < 1e-7);
         }
     }
@@ -1178,7 +1313,7 @@ mod tests {
             },
         );
         assert!(r.transport_cost.is_finite());
-        assert!(r.plan.as_slice().iter().all(|p| p.is_finite()));
+        assert!(r.plan(&c).as_slice().iter().all(|p| p.is_finite()));
         // identity matching is optimal
         assert!(r.transport_cost < 1.0);
     }
@@ -1285,10 +1420,117 @@ mod tests {
         let a = [0.5, 0.5, 0.0];
         let b = [0.0, 0.5, 0.5];
         let r = try_sinkhorn(&c, &a, &b, &SinkhornOptions::with_lambda(0.1)).unwrap();
-        assert!(r.plan.as_slice().iter().all(|p| p.is_finite() && *p >= 0.0));
-        let rows = r.plan.row_sums();
+        let plan = r.plan(&c);
+        assert!(plan.as_slice().iter().all(|p| p.is_finite() && *p >= 0.0));
+        let rows = plan.row_sums();
         assert!(rows[2].abs() < 1e-12, "zero-mass row got mass {}", rows[2]);
         assert!(r.transport_cost.is_finite());
+    }
+}
+
+#[cfg(test)]
+mod epilogue_tests {
+    use super::*;
+    use crate::cost::masked_sq_cost;
+    use scis_tensor::Rng64;
+
+    /// The historical objective: a materialized plan, then one serial
+    /// row-major chain over `P·C` and `P·ln P`. Returns `(⟨P,C⟩, reg_value,
+    /// scale)`: `reg_value` is a positive term plus a negative one, so its
+    /// error is measured against the terms' magnitudes, `scale`.
+    fn reference_objective(r: &SinkhornResult, cost: &Matrix) -> (f64, f64, f64) {
+        let plan = r.plan(cost);
+        let (mut tc, mut ne) = (0.0, 0.0);
+        for (&p, &c) in plan.as_slice().iter().zip(cost.as_slice()) {
+            if p > 0.0 {
+                tc += p * c;
+                ne += p * p.ln();
+            }
+        }
+        (tc, tc + r.lambda * ne, tc.abs() + (r.lambda * ne).abs())
+    }
+
+    /// A masked cross cost with every fifth row fully masked.
+    fn masked_cost(n: usize, seed: u64) -> Matrix {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let x = Matrix::from_fn(n, 5, |_, _| rng.uniform());
+        let xbar = Matrix::from_fn(n, 5, |_, _| rng.uniform());
+        let mask = Matrix::from_fn(n, 5, |i, _| {
+            if i % 5 == 3 || !rng.bernoulli(0.7) {
+                0.0
+            } else {
+                1.0
+            }
+        });
+        masked_sq_cost(&xbar, &mask, &x, &mask)
+    }
+
+    /// Probability vector over `n` entries with every `k`-th entry (from
+    /// `offset`) at zero weight, so `log a = −∞` there.
+    fn holey_marginal(n: usize, k: usize, offset: usize) -> Vec<f64> {
+        let raw: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % k == offset {
+                    0.0
+                } else {
+                    1.0 + (i % 3) as f64
+                }
+            })
+            .collect();
+        let total: f64 = raw.iter().sum();
+        raw.iter().map(|v| v / total).collect()
+    }
+
+    #[test]
+    fn fused_objective_matches_the_materialized_plan_reference() {
+        for n in [7usize, 128, 1024] {
+            let cost = masked_cost(n, 40 + n as u64);
+            let uniform = vec![1.0 / n as f64; n];
+            let marginals = [
+                (uniform.clone(), uniform),
+                (holey_marginal(n, 7, 2), holey_marginal(n, 7, 5)),
+            ];
+            for (a, b) in &marginals {
+                for precision in [Precision::F64, Precision::F32] {
+                    let opts = SinkhornOptions::with_lambda(0.1 * cost.mean())
+                        .max_iters(20)
+                        .exec(ExecPolicy::threads(2))
+                        .precision(precision);
+                    let r = try_sinkhorn(&cost, a, b, &opts).unwrap();
+                    let (tc, reg, scale) = reference_objective(&r, &cost);
+                    let what = format!("n={n} {precision:?}");
+                    assert!(
+                        (r.transport_cost - tc).abs() <= 1e-12 * tc.abs(),
+                        "{what}: transport cost {} vs {}",
+                        r.transport_cost,
+                        tc
+                    );
+                    assert!(
+                        (r.reg_value - reg).abs() <= 1e-12 * scale,
+                        "{what}: reg_value {} vs {}",
+                        r.reg_value,
+                        reg
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_weight_entries_carry_no_plan_mass() {
+        let n = 128;
+        let cost = masked_cost(n, 9);
+        let (a, b) = (holey_marginal(n, 7, 2), holey_marginal(n, 7, 5));
+        let r = try_sinkhorn(&cost, &a, &b, &SinkhornOptions::with_lambda(0.05)).unwrap();
+        assert!(r.reg_value.is_finite() && r.transport_cost.is_finite());
+        let plan = r.plan(&cost);
+        for i in 0..n {
+            for j in 0..n {
+                if a[i] == 0.0 || b[j] == 0.0 {
+                    assert_eq!(plan[(i, j)], 0.0, "({i}, {j})");
+                }
+            }
+        }
     }
 }
 
@@ -1371,7 +1613,7 @@ mod escalation_tests {
         assert_eq!(stats.escalations, 2);
         assert_eq!(stats.unconverged, 1);
         // output is still finite — degraded, not poisoned
-        assert!(r.plan.as_slice().iter().all(|p| p.is_finite()));
+        assert!(r.plan(&c).as_slice().iter().all(|p| p.is_finite()));
         assert!(r.reg_value.is_finite());
     }
 
@@ -1546,7 +1788,8 @@ mod escalation_tests {
         // restarting from the fixed point must converge (much) faster …
         assert!(warm.iterations <= cold.iterations);
         // … to the same plan, up to the marginal tolerance
-        for (p, q) in warm.plan.as_slice().iter().zip(cold.plan.as_slice()) {
+        let (warm_plan, cold_plan) = (warm.plan(&c), cold.plan(&c));
+        for (p, q) in warm_plan.as_slice().iter().zip(cold_plan.as_slice()) {
             assert!((p - q).abs() < 1e-7, "{} vs {}", p, q);
         }
         assert!((warm.reg_value - cold.reg_value).abs() < 1e-7);
@@ -1605,7 +1848,8 @@ mod eps_scaling_tests {
             cold.reg_value
         );
         // plans agree
-        for (p, q) in warm.plan.as_slice().iter().zip(cold.plan.as_slice()) {
+        let (warm_plan, cold_plan) = (warm.plan(&c), cold.plan(&c));
+        for (p, q) in warm_plan.as_slice().iter().zip(cold_plan.as_slice()) {
             assert!((p - q).abs() < 1e-6);
         }
     }

@@ -45,7 +45,22 @@ pub enum HttpError {
         /// Server's cap.
         cap: usize,
     },
+    /// The request line and headers exceed a fixed cap → 431.
+    HeaderTooLarge {
+        /// Which cap was hit: `"line"` ([`MAX_LINE_BYTES`]), `"count"`
+        /// ([`MAX_HEADER_COUNT`]) or `"total"` ([`MAX_HEAD_BYTES`]).
+        cap: &'static str,
+        /// That cap's value (bytes; header lines for `"count"`).
+        limit: usize,
+    },
 }
+
+/// Longest request line or header line accepted, line terminator included.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+/// Most header lines one request may carry.
+pub const MAX_HEADER_COUNT: usize = 64;
+/// Most bytes the request line and all headers may take together.
+pub const MAX_HEAD_BYTES: usize = 32 * 1024;
 
 impl From<std::io::Error> for HttpError {
     fn from(e: std::io::Error) -> Self {
@@ -61,15 +76,45 @@ impl std::fmt::Display for HttpError {
             HttpError::BodyTooLarge { declared, cap } => {
                 write!(f, "body of {} bytes exceeds cap {}", declared, cap)
             }
+            HttpError::HeaderTooLarge { cap, limit } => {
+                write!(f, "request head exceeds the {} cap of {}", cap, limit)
+            }
         }
     }
 }
 
-/// Reads one request from the stream. `max_body` caps `Content-Length`.
+/// Reads one line of the request head through [`Read::take`], so a line
+/// that never ends costs at most its cap in memory. `budget` is what is
+/// left of [`MAX_HEAD_BYTES`]; a line at end of stream comes back
+/// unterminated (empty when nothing was left).
+fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpError> {
+    let limit = MAX_LINE_BYTES.min(*budget);
+    let mut line = String::new();
+    let n = reader.by_ref().take(limit as u64).read_line(&mut line)?;
+    if n == limit && !line.ends_with('\n') {
+        return Err(if limit == MAX_LINE_BYTES {
+            HttpError::HeaderTooLarge {
+                cap: "line",
+                limit: MAX_LINE_BYTES,
+            }
+        } else {
+            HttpError::HeaderTooLarge {
+                cap: "total",
+                limit: MAX_HEAD_BYTES,
+            }
+        });
+    }
+    *budget -= n;
+    Ok(line)
+}
+
+/// Reads one request from the stream. `max_body` caps `Content-Length`;
+/// the request line and headers are held to [`MAX_LINE_BYTES`] per line,
+/// [`MAX_HEADER_COUNT`] lines and [`MAX_HEAD_BYTES`] in total.
 pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut budget = MAX_HEAD_BYTES;
+    let line = read_head_line(&mut reader, &mut budget)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -89,15 +134,22 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 
     let mut content_length: Option<usize> = None;
     let mut trace_id: Option<String> = None;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 {
+        let header = read_head_line(&mut reader, &mut budget)?;
+        if header.is_empty() {
             return Err(HttpError::Malformed("connection closed mid-headers".into()));
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADER_COUNT {
+            return Err(HttpError::HeaderTooLarge {
+                cap: "count",
+                limit: MAX_HEADER_COUNT,
+            });
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -152,6 +204,7 @@ pub fn status_phrase(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -291,6 +344,56 @@ mod tests {
         // all-digits but larger than usize::MAX: overflow, not panic/wrap
         let raw = "POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999999\r\n\r\n";
         assert!(matches!(roundtrip(raw, 1024), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn rejects_an_overlong_line() {
+        let long = "a".repeat(MAX_LINE_BYTES);
+        for raw in [
+            format!("GET /{long} HTTP/1.1\r\n\r\n"),
+            format!("GET / HTTP/1.1\r\nX-Long: {long}\r\n\r\n"),
+        ] {
+            assert!(matches!(
+                roundtrip(&raw, 1024),
+                Err(HttpError::HeaderTooLarge {
+                    cap: "line",
+                    limit: MAX_LINE_BYTES
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn rejects_too_many_headers() {
+        let headers = |k: usize| -> String {
+            let lines: String = (0..k).map(|i| format!("X-H{i}: v\r\n")).collect();
+            format!("GET / HTTP/1.1\r\n{lines}\r\n")
+        };
+        assert!(roundtrip(&headers(MAX_HEADER_COUNT), 1024).is_ok());
+        assert!(matches!(
+            roundtrip(&headers(MAX_HEADER_COUNT + 1), 1024),
+            Err(HttpError::HeaderTooLarge {
+                cap: "count",
+                limit: MAX_HEADER_COUNT
+            })
+        ));
+    }
+
+    #[test]
+    fn rejects_an_oversized_header_block() {
+        // every line and the line count within their caps, the sum not
+        let value = "v".repeat(MAX_LINE_BYTES - 64);
+        let lines: String = (0..MAX_HEAD_BYTES / value.len() + 1)
+            .map(|i| format!("X-H{i}: {value}\r\n"))
+            .collect();
+        let raw = format!("GET / HTTP/1.1\r\n{lines}\r\n");
+        assert!(matches!(
+            roundtrip(&raw, 1024),
+            Err(HttpError::HeaderTooLarge {
+                cap: "total",
+                limit: MAX_HEAD_BYTES
+            })
+        ));
     }
 
     #[test]

@@ -300,6 +300,13 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
                         declared, cap
                     ),
                 ),
+                e @ HttpError::HeaderTooLarge { .. } => (
+                    431,
+                    format!(
+                        "{{\"error\":{}}}",
+                        scis_telemetry::json_escape(&e.to_string())
+                    ),
+                ),
                 HttpError::Io(_) => unreachable!("handled above"),
             };
             let _ = write_response(stream, status, std::slice::from_ref(&trace_header), &body);

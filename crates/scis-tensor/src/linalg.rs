@@ -5,8 +5,10 @@
 //! in tests. Cholesky covers the SPD path; a partially pivoted LU covers the
 //! general path.
 
+use crate::exec::{for_row_spans, ExecPolicy};
 use crate::matrix::Matrix;
 use crate::ops::{matmul_at, matvec};
+use crate::par::PAR_MIN_WORK;
 
 /// Error type for factorization failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,12 +179,31 @@ pub fn row_sq_norms(m: &Matrix) -> Vec<f64> {
 /// [`crate::par::matmul_bt_exec`]); `an`/`bn` the corresponding
 /// [`row_sq_norms`]. The clamp at zero guards against small negative values
 /// from catastrophic cancellation when `aᵢ ≈ bⱼ`.
-pub fn sq_dists_from_gram(gram: &Matrix, an: &[f64], bn: &[f64]) -> Matrix {
+///
+/// The Gram buffer is consumed and rewritten in place over row spans, one
+/// span per worker; every cell is computed by the same expression under any
+/// policy, so the result is bit-identical across thread counts.
+pub fn sq_dists_from_gram(mut gram: Matrix, an: &[f64], bn: &[f64], exec: ExecPolicy) -> Matrix {
     assert_eq!(gram.rows(), an.len(), "sq_dists_from_gram: an length");
     assert_eq!(gram.cols(), bn.len(), "sq_dists_from_gram: bn length");
-    Matrix::from_fn(gram.rows(), gram.cols(), |i, j| {
-        (an[i] + bn[j] - 2.0 * gram[(i, j)]).max(0.0)
-    })
+    let (rows, cols) = gram.shape();
+    if cols == 0 {
+        return gram;
+    }
+    let threads = if rows * cols < PAR_MIN_WORK {
+        1
+    } else {
+        exec.workers(rows)
+    };
+    for_row_spans(gram.as_mut_slice(), cols, threads, |r0, span| {
+        for (di, row) in span.chunks_exact_mut(cols).enumerate() {
+            let ai = an[r0 + di];
+            for (g, &bj) in row.iter_mut().zip(bn) {
+                *g = (ai + bj - 2.0 * *g).max(0.0);
+            }
+        }
+    });
+    gram
 }
 
 /// Residual `‖A x − b‖₂` — used by tests to validate solvers.
@@ -285,7 +306,12 @@ mod tests {
         let a = Matrix::from_fn(7, 4, |_, _| rng.normal());
         let b = Matrix::from_fn(5, 4, |_, _| rng.normal());
         let gram = crate::par::matmul_bt_exec(&a, &b, crate::ExecPolicy::Serial);
-        let d = sq_dists_from_gram(&gram, &row_sq_norms(&a), &row_sq_norms(&b));
+        let d = sq_dists_from_gram(
+            gram,
+            &row_sq_norms(&a),
+            &row_sq_norms(&b),
+            ExecPolicy::Serial,
+        );
         for i in 0..a.rows() {
             for j in 0..b.rows() {
                 let direct: f64 = a
@@ -313,9 +339,38 @@ mod tests {
         let a = Matrix::from_rows(&[&[1e8, -1e8, 3.0]]);
         let gram = crate::par::matmul_bt_exec(&a, &a, crate::ExecPolicy::Serial);
         let n = row_sq_norms(&a);
-        let d = sq_dists_from_gram(&gram, &n, &n);
+        let d = sq_dists_from_gram(gram, &n, &n, ExecPolicy::Serial);
         assert!(d[(0, 0)] >= 0.0);
         assert_eq!(d[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn sq_dists_from_gram_in_place_is_bit_identical_at_any_thread_count() {
+        // 800 × 700 cells clear the parallel threshold
+        let mut rng = Rng64::seed_from_u64(6);
+        let a = Matrix::from_fn(800, 3, |_, _| rng.normal());
+        let b = Matrix::from_fn(700, 3, |_, _| rng.normal());
+        let gram = crate::par::matmul_bt_exec(&a, &b, crate::ExecPolicy::Serial);
+        let (an, bn) = (row_sq_norms(&a), row_sq_norms(&b));
+        // the per-cell expression, written out as the reference
+        let want = Matrix::from_fn(800, 700, |i, j| {
+            (an[i] + bn[j] - 2.0 * gram[(i, j)]).max(0.0)
+        });
+        for exec in [
+            ExecPolicy::Serial,
+            ExecPolicy::threads(2),
+            ExecPolicy::threads(3),
+            ExecPolicy::threads(7),
+        ] {
+            let got = sq_dists_from_gram(gram.clone(), &an, &bn, exec);
+            assert!(
+                got.as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{exec:?}"
+            );
+        }
     }
 
     #[test]

@@ -229,10 +229,34 @@ impl Matrix {
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            data: self.transpose_map(|v| v),
+        }
+    }
+
+    /// Row-major data of the transpose (`cols x rows`), each element passed
+    /// through `conv` — e.g. `|v| v as f32` builds a narrowed transposed
+    /// copy without a full-width intermediate.
+    ///
+    /// The copy walks square tiles so both the strided reads and the
+    /// contiguous writes stay within a few cache lines; element values are
+    /// moved, never combined, so the result does not depend on the tiling.
+    pub fn transpose_map<T: Copy + Default>(&self, conv: impl Fn(f64) -> T) -> Vec<T> {
+        const TILE: usize = 32;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = vec![T::default(); rows * cols];
+        for i0 in (0..rows).step_by(TILE) {
+            let i1 = (i0 + TILE).min(rows);
+            for j0 in (0..cols).step_by(TILE) {
+                let j1 = (j0 + TILE).min(cols);
+                for i in i0..i1 {
+                    let src = &self.data[i * cols..(i + 1) * cols];
+                    for j in j0..j1 {
+                        out[j * rows + i] = conv(src[j]);
+                    }
+                }
             }
         }
         out
@@ -569,6 +593,24 @@ mod tests {
     fn row_block_rejects_bad_range() {
         let m = Matrix::zeros(3, 2);
         let _ = m.row_block(1, 4);
+    }
+
+    #[test]
+    fn blocked_transpose_matches_the_definition_across_tile_edges() {
+        // shapes straddle the 32-wide tile: partial tiles on both axes
+        for (r, c) in [(0, 4), (1, 1), (31, 33), (64, 7), (70, 65)] {
+            let m = Matrix::from_fn(r, c, |i, j| (i * 1000 + j) as f64 + 0.25);
+            let t = m.transpose();
+            assert_eq!(t.shape(), (c, r));
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(t[(j, i)].to_bits(), m[(i, j)].to_bits());
+                }
+            }
+            let t32 = m.transpose_map(|v| v as f32);
+            let want: Vec<f32> = t.as_slice().iter().map(|&v| v as f32).collect();
+            assert_eq!(t32, want, "{r}x{c}");
+        }
     }
 
     #[test]

@@ -189,29 +189,69 @@ fn blocked_gemm_matches_naive_reference_at_default_settings() {
     }
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn sinkhorn_sweeps_are_bit_identical_above_threshold() {
-    // 200×200 = 40_000 cells clears the solver's parallelism threshold
+    // 200×200 = 40_000 cells clears the parallelism threshold of the solver
+    // and of the streamed gradient
     let mut rng = Rng64::seed_from_u64(21);
     let a = Matrix::from_fn(200, 6, |_, _| rng.uniform());
     let b = Matrix::from_fn(200, 6, |_, _| rng.uniform());
     let ones = Matrix::ones(200, 6);
+    let mask = Matrix::from_fn(200, 6, |_, _| if rng.bernoulli(0.75) { 1.0 } else { 0.0 });
     let base = SinkhornOptions::default().lambda(0.05).max_iters(300);
 
     let cost_s = scis_repro::ot::masked_sq_cost_with(&a, &ones, &b, &ones, ExecPolicy::Serial);
     let serial = scis_repro::ot::sinkhorn_uniform(&cost_s, &base.clone().exec(ExecPolicy::Serial));
-    for threads in [2usize, 3, 7] {
+    let plan_s = serial.plan(&cost_s);
+    let (loss_s, grad_s) =
+        scis_repro::ot::ms_loss_grad(&a, &b, &mask, &base.clone().exec(ExecPolicy::Serial));
+    for threads in [1usize, 2, 3, 7] {
         let exec = ExecPolicy::threads(threads);
         let cost_p = scis_repro::ot::masked_sq_cost_with(&a, &ones, &b, &ones, exec);
         assert_eq!(cost_s, cost_p, "cost matrix diverged at {threads} threads");
         let par = scis_repro::ot::sinkhorn_uniform(&cost_p, &base.clone().exec(exec));
-        assert_eq!(serial.plan, par.plan, "plan diverged at {threads} threads");
+        assert_eq!(
+            bits(&serial.f),
+            bits(&par.f),
+            "f diverged at {threads} threads"
+        );
+        assert_eq!(
+            bits(&serial.g),
+            bits(&par.g),
+            "g diverged at {threads} threads"
+        );
+        assert_eq!(
+            bits(plan_s.as_slice()),
+            bits(par.plan(&cost_p).as_slice()),
+            "plan diverged at {threads} threads"
+        );
         assert_eq!(
             serial.reg_value.to_bits(),
             par.reg_value.to_bits(),
             "reg_value diverged at {threads} threads"
         );
+        assert_eq!(
+            serial.transport_cost.to_bits(),
+            par.transport_cost.to_bits(),
+            "transport_cost diverged at {threads} threads"
+        );
         assert_eq!(serial.iterations, par.iterations);
+        let (loss_p, grad_p) =
+            scis_repro::ot::ms_loss_grad(&a, &b, &mask, &base.clone().exec(exec));
+        assert_eq!(
+            loss_s.to_bits(),
+            loss_p.to_bits(),
+            "loss diverged at {threads} threads"
+        );
+        assert_eq!(
+            bits(grad_s.as_slice()),
+            bits(grad_p.as_slice()),
+            "gradient diverged at {threads} threads"
+        );
     }
 }
 

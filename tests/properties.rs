@@ -129,12 +129,13 @@ fn sinkhorn_plan_satisfies_marginals() {
             ..Default::default()
         };
         let res = scis_ot::sinkhorn::sinkhorn_eps_scaling_uniform(&cost, &opts, 5);
+        let plan = res.plan(&cost);
         let u = 1.0 / n as f64;
-        for s in res.plan.col_sums() {
+        for s in plan.col_sums() {
             assert!((s - u).abs() < 1e-6, "seed {}: col marginal {}", seed, s);
         }
         let row_tol = if res.converged { 1e-6 } else { 1e-3 };
-        for s in res.plan.row_sums() {
+        for s in plan.row_sums() {
             assert!(
                 (s - u).abs() < row_tol,
                 "seed {}: row marginal {} (converged={})",
@@ -143,7 +144,7 @@ fn sinkhorn_plan_satisfies_marginals() {
                 res.converged
             );
         }
-        for p in res.plan.as_slice() {
+        for p in plan.as_slice() {
             assert!(*p >= 0.0 && p.is_finite(), "seed {}", seed);
         }
     });
@@ -169,8 +170,9 @@ fn sinkhorn_rectangular_plans_satisfy_marginals() {
             ..Default::default()
         };
         let res = scis_ot::sinkhorn(&cost, &a, &b, &opts);
+        let plan = res.plan(&cost);
         assert!(res.converged, "seed {}", seed);
-        for (s, want) in res.plan.col_sums().iter().zip(&b) {
+        for (s, want) in plan.col_sums().iter().zip(&b) {
             assert!(
                 (s - want).abs() < 1e-7,
                 "seed {}: col {} vs {}",
@@ -179,7 +181,7 @@ fn sinkhorn_rectangular_plans_satisfy_marginals() {
                 want
             );
         }
-        for (s, want) in res.plan.row_sums().iter().zip(&a) {
+        for (s, want) in plan.row_sums().iter().zip(&a) {
             assert!(
                 (s - want).abs() < 1e-7,
                 "seed {}: row {} vs {}",
@@ -208,7 +210,8 @@ fn sinkhorn_extreme_lambda_stays_finite_and_feasible() {
                 ..Default::default()
             };
             let res = scis_ot::sinkhorn_uniform(&cost, &opts);
-            for p in res.plan.as_slice() {
+            let plan = res.plan(&cost);
+            for p in plan.as_slice() {
                 assert!(
                     p.is_finite() && *p >= 0.0,
                     "seed {} λ {}: plan {}",
@@ -219,7 +222,7 @@ fn sinkhorn_extreme_lambda_stays_finite_and_feasible() {
             }
             assert!(res.transport_cost.is_finite(), "seed {} λ {}", seed, lambda);
             // column marginals are exact after every g-update by construction
-            for s in res.plan.col_sums() {
+            for s in plan.col_sums() {
                 assert!(
                     (s - u).abs() < 1e-6,
                     "seed {} λ {}: col {}",
@@ -230,7 +233,7 @@ fn sinkhorn_extreme_lambda_stays_finite_and_feasible() {
             }
             if lambda > 1.0 {
                 // huge λ ⇒ plan ≈ a ⊗ b: every entry close to uniform
-                for p in res.plan.as_slice() {
+                for p in plan.as_slice() {
                     assert!(
                         (p - u * u).abs() < 1e-3,
                         "seed {}: entry {} far from product measure {}",
@@ -264,26 +267,17 @@ fn sinkhorn_degenerate_marginals_confine_mass() {
             ..Default::default()
         };
         let res = scis_ot::sinkhorn(&cost, &a, &b, &opts);
+        let plan = res.plan(&cost);
         for j in 0..n {
-            assert_eq!(
-                res.plan[(dead_row, j)],
-                0.0,
-                "seed {}: dead row leaked",
-                seed
-            );
+            assert_eq!(plan[(dead_row, j)], 0.0, "seed {}: dead row leaked", seed);
         }
         for i in 0..n {
-            assert_eq!(
-                res.plan[(i, dead_col)],
-                0.0,
-                "seed {}: dead col leaked",
-                seed
-            );
+            assert_eq!(plan[(i, dead_col)], 0.0, "seed {}: dead col leaked", seed);
         }
-        for p in res.plan.as_slice() {
+        for p in plan.as_slice() {
             assert!(p.is_finite() && *p >= 0.0, "seed {}", seed);
         }
-        let total: f64 = res.plan.as_slice().iter().sum();
+        let total: f64 = plan.as_slice().iter().sum();
         assert!(
             (total - 1.0).abs() < 1e-6,
             "seed {}: total mass {}",

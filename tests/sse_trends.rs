@@ -48,10 +48,13 @@ fn n_star_for(epsilon: f64, seed: u64) -> (usize, usize) {
 #[test]
 fn figure3_trend_stricter_epsilon_needs_more_samples() {
     // identical data and seed, only ε varies (common random numbers inside
-    // SSE make the comparison exact)
-    let (n_loose, total) = n_star_for(0.05, 99);
-    let (n_mid, _) = n_star_for(0.01, 99);
-    let (n_tight, _) = n_star_for(0.002, 99);
+    // SSE make the comparison exact); the three runs share nothing, so they
+    // run side by side
+    let [(n_loose, total), (n_mid, _), (n_tight, _)] = std::thread::scope(|s| {
+        [0.05, 0.01, 0.002]
+            .map(|eps| s.spawn(move || n_star_for(eps, 99)))
+            .map(|run| run.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+    });
     assert!(
         n_loose <= n_mid && n_mid <= n_tight,
         "n* not monotone in ε: {} / {} / {} (N = {})",

@@ -7,18 +7,37 @@
 //! (a `#[global_allocator]` is per-binary, which is why this lives in its
 //! own integration-test file) and drives every record method of a disabled
 //! handle.
+//!
+//! Allocations are counted **per thread**: the test harness runs these tests
+//! on parallel threads, and a process-wide counter would let one test's
+//! allocations land in another test's measured window. Each window is read
+//! on the thread that makes the calls it measures.
 
 use scis_repro::telemetry::{Counter, Event, Hist, RateWindow, Series, SpanKind, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // const-initialised and destructor-free, so touching it from inside the
+    // allocator never allocates
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread's exit may free memory after its slot is gone
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -27,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,7 +59,7 @@ fn disabled_collector_allocates_nothing_on_record_paths() {
     let tel = Telemetry::off();
     let clone = tel.clone(); // cloning a None handle is allocation-free too
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10_000 {
         tel.incr(Counter::DimBatches);
         tel.add(Counter::SinkhornIterations, 37);
@@ -58,7 +77,7 @@ fn disabled_collector_allocates_nothing_on_record_paths() {
             retries: 1,
         });
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -79,13 +98,13 @@ fn disabled_rate_window_allocates_nothing() {
     let rate = RateWindow::off();
     let clone = rate.clone();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10_000 {
         rate.record(4);
         clone.record(1);
         let _ = rate.per_sec();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -98,12 +117,12 @@ fn disabled_rate_window_allocates_nothing() {
 #[test]
 fn collecting_rate_window_records_without_allocating() {
     let rate = RateWindow::collecting();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10_000 {
         rate.record(2);
         let _ = rate.per_sec();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -115,12 +134,12 @@ fn collecting_rate_window_records_without_allocating() {
 
 #[test]
 fn collecting_allocates_only_at_construction() {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let tel = Telemetry::collecting();
-    let construction = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let construction = allocations() - before;
     assert!(construction >= 1, "slab must be heap-allocated");
 
-    let hot_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let hot_before = allocations();
     for _ in 0..10_000 {
         tel.incr(Counter::DimBatches);
         tel.add(Counter::SinkhornIterations, 37);
@@ -131,7 +150,7 @@ fn collecting_allocates_only_at_construction() {
         tel.record_hist(Hist::SinkhornSolveIters, 37);
         tel.record_event(Event::CacheInvalidation);
     }
-    let hot = ALLOCATIONS.load(Ordering::Relaxed) - hot_before;
+    let hot = allocations() - hot_before;
     assert_eq!(hot, 0, "record paths of a live collector allocated {hot}x");
     assert_eq!(tel.counter(Counter::DimBatches), 10_000);
     assert_eq!(tel.hist(Hist::SinkhornSolveIters).count, 10_000);
