@@ -337,30 +337,11 @@ impl Critic {
 }
 
 /// Trains (or continues training) the generator of `imp` on `ds` under the
-/// MS-divergence loss. Networks must already be initialized if you want a
-/// warm start; otherwise they are initialized here.
-///
-/// Thin *panicking* wrapper over [`try_train_dim`], kept for callers that
-/// have no recovery strategy (doctests, quick scripts). Everything else —
-/// the pipeline, the CLI, the bench harness — goes through the fallible
-/// path so a terminal [`TrainingError`] can degrade gracefully instead of
-/// aborting the process.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `try_train_dim` and handle the typed `TrainingError` instead of panicking"
-)]
-pub fn train_dim(
-    imp: &mut dyn AdversarialImputer,
-    ds: &Dataset,
-    cfg: &DimConfig,
-    rng: &mut Rng64,
-) -> DimReport {
-    try_train_dim(imp, ds, cfg, rng).unwrap_or_else(|e| panic!("train_dim: {e}"))
-}
-
-/// Fallible [`train_dim`]: default guard, no telemetry, structured
-/// [`TrainingError`] on terminal failure (the generator is left on its best
-/// snapshot, so callers may still impute with it).
+/// MS-divergence loss, with the default guard and no telemetry. Networks
+/// must already be initialized for a warm start; otherwise they are
+/// initialized here. A terminal failure is a structured [`TrainingError`]
+/// (the generator is left on its best snapshot, so callers may still
+/// impute with it).
 pub fn try_train_dim(
     imp: &mut dyn AdversarialImputer,
     ds: &Dataset,
@@ -386,9 +367,9 @@ fn all_finite(m: &Matrix) -> bool {
 /// Fault-tolerant DIM training (see [`crate::guard`] module docs for the
 /// three recovery rings).
 ///
-/// On the healthy path this is *bit-identical* to the historical
-/// `train_dim`: the guard only reads losses and parameters, never the RNG,
-/// so seeds reproduce. Recovery accounting accumulates into `stats`;
+/// On the healthy path this is *bit-identical* to unguarded training: the
+/// guard only reads losses and parameters, never the RNG, so seeds
+/// reproduce. Recovery accounting accumulates into `stats`;
 /// a terminal failure returns a [`TrainingError`] with the generator left
 /// on its best snapshot.
 pub fn train_dim_guarded(

@@ -7,10 +7,9 @@
 //! run that stayed numerically broken after every recovery attempt
 //! ([`TrainingError`]).
 //!
-//! [`crate::pipeline::Scis::try_run`] returns these instead of panicking;
-//! the legacy `run` entry point keeps its panic contract by formatting the
-//! error (which is why [`ScisError::OversizedInitialSample`] preserves the
-//! historical `"exceeds N"` message).
+//! [`crate::pipeline::Scis::try_run`] returns these instead of panicking.
+//! [`ScisError::OversizedInitialSample`] keeps the historical `"exceeds N"`
+//! message, which callers and tests match on.
 
 use scis_telemetry::RecordedEvent;
 use std::fmt;
@@ -178,7 +177,7 @@ impl fmt::Display for ScisError {
                 write!(f, "invalid configuration: {message}")
             }
             ScisError::OversizedInitialSample { requested, n_total } => {
-                // keeps the legacy panic-message contract of `Scis::run`
+                // the historical "exceeds N" wording callers match on
                 write!(f, "Nv + n0 = {requested} exceeds N = {n_total}")
             }
             ScisError::Training(e) => write!(f, "{e}"),

@@ -41,8 +41,6 @@ pub mod report;
 pub mod sse;
 
 pub use checkpoint::{latest_checkpoint, CheckpointPolicy, TrainCheckpoint};
-#[allow(deprecated)]
-pub use dim::train_dim;
 pub use dim::{
     train_dim_cached, train_dim_guarded, train_dim_resumable, train_dim_telemetered, try_train_dim,
     AccelConfig, DimConfig, DimReport, TrainHooks,

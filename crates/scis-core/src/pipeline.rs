@@ -16,15 +16,12 @@ use crate::guard::{GuardConfig, GuardStats};
 use crate::heartbeat::{HeartbeatHook, Progress};
 use crate::report::RunReport;
 use crate::sse::{fisher_diagonal_cached, model_distance, SseConfig, SseEstimator, SseResult};
-use scis_data::shard::{observed_column_means, RowSource, ShardSink};
-use scis_data::split::{
-    sample_initial_split, sample_initial_split_source, sample_training_set,
-    sample_training_set_source,
-};
+use scis_data::shard::{observed_column_means, MemorySink, RowSource, ShardSink};
+use scis_data::split::{sample_initial_split_source, sample_training_set_source};
 use scis_data::validate::validate_source;
 use scis_data::Dataset;
 use scis_imputers::traits::impute_with_generator;
-use scis_imputers::{AdversarialImputer, Imputer};
+use scis_imputers::AdversarialImputer;
 use scis_ot::{DualCache, SinkhornOptions};
 use scis_telemetry::{Event, RecordedEvent, SpanKind, Telemetry};
 use scis_tensor::{ExecPolicy, Matrix, Rng64, RunDeadline};
@@ -352,33 +349,10 @@ impl Scis {
         &self.config
     }
 
-    /// Runs Algorithm 1 on `ds` with initial sample size `n0`
-    /// (`Nv = n0`, as in the paper's experiments).
-    ///
-    /// Thin wrapper over [`Scis::try_run`] keeping the legacy panic
-    /// contract.
-    ///
-    /// # Panics
-    /// Panics on any [`ScisError`] — in particular when `2·n0` exceeds the
-    /// dataset size.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Scis::try_run` and handle the typed `ScisError` instead of panicking"
-    )]
-    pub fn run(
-        &self,
-        imp: &mut dyn AdversarialImputer,
-        ds: &Dataset,
-        n0: usize,
-        rng: &mut Rng64,
-    ) -> ScisOutcome {
-        self.try_run(imp, ds, n0, rng)
-            .unwrap_or_else(|e| panic!("Scis::run: {e}"))
-    }
-
-    /// Fault-tolerant Algorithm 1: validates inputs up front, trains every
-    /// DIM phase under the [`crate::guard`] runtime, escalates non-converged
-    /// Sinkhorn solves, and degrades gracefully instead of returning NaN:
+    /// Fault-tolerant Algorithm 1 on an in-memory dataset: validates inputs
+    /// up front, trains every DIM phase under the [`crate::guard`] runtime,
+    /// escalates non-converged Sinkhorn solves, and degrades gracefully
+    /// instead of returning NaN:
     ///
     /// * terminal failure of the *initial* training falls back to mean
     ///   imputation (`anomalies.mean_fallback`);
@@ -386,11 +360,16 @@ impl Scis {
     ///   (`anomalies.calibration_skipped`);
     /// * a failed retrain keeps the initial model `M0`
     ///   (`anomalies.retrain_failed`);
-    /// * any non-finite cell left in the final output is patched from the
-    ///   mean imputer (`anomalies.non_finite_cells_patched`).
+    /// * any non-finite cell left in the final output is patched with its
+    ///   column's observed mean (`anomalies.non_finite_cells_patched`).
     ///
     /// `Err` is reserved for states with no useful output at all: bad data,
     /// bad configuration, an oversized `n0`.
+    ///
+    /// This is [`Scis::try_run_streamed`] over `ds` as its own one-shard
+    /// [`RowSource`], collected into a [`MemorySink`]. One shard is the
+    /// whole matrix, so imputers whose reconstruction depends on other rows
+    /// (GINN) see every row.
     pub fn try_run(
         &self,
         imp: &mut dyn AdversarialImputer,
@@ -398,359 +377,45 @@ impl Scis {
         n0: usize,
         rng: &mut Rng64,
     ) -> Result<ScisOutcome, ScisError> {
-        let t_start = Instant::now();
-        let tel = self.telemetry.clone();
-        // forward the collector into the model so forward/backward passes
-        // are counted (no-op for an `off` handle)
-        imp.set_telemetry(tel.clone());
-        let n_total = ds.n_samples();
-        let n_v = n0; // paper §VI: Nv = n0
-        let span_validate = tel.span(SpanKind::Validate);
-        let data_report = ds.validate()?;
-        if n_v + n0 > n_total {
-            return Err(ScisError::OversizedInitialSample {
-                requested: n_v + n0,
-                n_total,
-            });
-        }
-        if n0 == 0 {
-            return Err(ScisError::InvalidConfig {
-                message: "initial sample size n0 must be at least 1".into(),
-            });
-        }
-        if self.config.dim.train.epochs == 0 {
-            return Err(ScisError::InvalidConfig {
-                message: "dim.train.epochs must be at least 1".into(),
-            });
-        }
-        let mut anomalies = RunAnomalies {
-            all_missing_columns: data_report.all_missing_columns,
-            constant_columns: data_report.constant_columns,
-            ..Default::default()
-        };
-        let guard = &self.config.guard;
-        let hooks = TrainHooks {
-            checkpoint: self.checkpoint.as_ref(),
-            resume: self.resume.as_ref(),
-            deadline: self.deadline.clone(),
-            heartbeat: self.heartbeat.clone(),
-        };
-
-        // line 1: sample validation + initial sets
-        let split = sample_initial_split(ds, n_v, n0, rng);
-        drop(span_validate);
-
-        // line 2: DIM-train M0 on X0. The init seed is remembered so the
-        // calibration sibling (below) starts from *identical* weights —
-        // Theorem 1 models sampling noise around one optimum, not
-        // re-initialization noise.
-        let init_seed = rng.next_u64();
-        let t0 = Instant::now();
-        let span_initial = tel.span(SpanKind::TrainInitial);
-        imp.init_networks(ds.n_features(), &mut Rng64::seed_from_u64(init_seed));
-        let mut guard_stats = GuardStats::default();
-        // Each training phase gets its *own* dual cache: entries are keyed
-        // by dataset-local row index, and the phases train on different row
-        // sets (X0, the sibling sample, X*), so sharing would alias
-        // unrelated rows. The initial-phase cache is reused read-only by
-        // the SSE Fisher probe, which iterates the same X0 rows.
-        let phase_cache = |accel: AccelConfig| {
-            if accel.warm_start {
-                DualCache::enabled()
-            } else {
-                DualCache::off()
-            }
-        };
-        let initial_cache = phase_cache(self.config.dim.accel);
-        let initial = train_dim_resumable(
-            imp,
-            &split.initial,
-            &self.config.dim,
-            guard,
-            TrainPhase::Initial,
-            &mut guard_stats,
-            &tel,
-            &initial_cache,
-            &hooks,
-            rng,
-        );
-        drop(span_initial);
-        let initial_train_time = t0.elapsed();
-        anomalies.absorb_guard(&guard_stats);
-        if let Err(e) = initial {
-            // graceful degradation: the adversarial model is unusable, but
-            // mean imputation always produces a finite answer
-            anomalies.mean_fallback = true;
-            anomalies
-                .notes
-                .push(format!("initial {e}; fell back to mean imputation"));
-            tel.record_event(Event::Degraded {
-                reason: "mean_fallback",
-            });
-            let flight_tail = tel.event_tail(POST_MORTEM_TAIL);
-            let imputed = scis_imputers::mean::MeanImputer.impute(ds, rng);
-            let total_time = t_start.elapsed();
-            let report = RunReport::assemble(
-                &tel.snapshot(),
-                n_total,
-                n0,
-                n0,
-                total_time.as_secs_f64(),
-                Vec::new(),
-                &anomalies,
-            );
-            return Ok(ScisOutcome {
-                imputed,
-                n_star: n0,
-                n_total,
-                n0,
-                sse: SseResult::skipped(n0),
-                initial_train_time,
-                sse_time: Duration::ZERO,
-                retrain_time: Duration::ZERO,
-                total_time,
-                anomalies,
-                report,
-                flight_tail,
-            });
-        }
-
-        // line 3: SSE (skipped entirely when the deadline already expired
-        // during initial training — n* falls back to n0 and the run
-        // finishes with M0)
-        let t1 = Instant::now();
-        let (sse, sse_time) = if self.deadline.expired() {
-            (SseResult::skipped(n0), Duration::ZERO)
-        } else {
-            let span_sse = tel.span(SpanKind::Sse);
-            let sinkhorn = SinkhornOptions {
-                lambda: estimate_sse_lambda(&self.config.dim, &split.initial, imp, rng),
-                max_iters: self.config.dim.max_sinkhorn_iters,
-                tol: 1e-8,
-                exec: self.config.dim.exec,
-                deadline: self.deadline.clone(),
-                precision: self.config.dim.accel.precision(),
-            };
-            let batch = self.config.dim.train.batch_size;
-            // read-only reuse of the initial-phase duals: the Fisher probe
-            // iterates the same X0 rows, and warm-starting its solves from the
-            // converged training potentials saves iterations without writing
-            // probe-state duals back into the cache
-            let fisher = fisher_diagonal_cached(
-                imp,
-                &split.initial,
-                &sinkhorn,
-                batch,
-                &guard.sinkhorn_escalation,
-                &tel,
-                &initial_cache,
-                self.config.dim.accel,
-                rng,
-            );
-            let mut estimator = SseEstimator::new(
-                imp,
-                &fisher,
-                n0,
-                n_total,
-                ds.n_features(),
-                self.config.sse,
-                rng,
-            );
-            estimator.set_telemetry(tel.clone());
-            estimator.set_deadline(self.deadline.clone());
-            if self.config.sse.calibrate && !self.deadline.expired() {
-                let _span_cal = tel.span(SpanKind::Calibration);
-                // anchor Theorem 1's hidden constant: train a sibling model on a
-                // second size-n0 sample and match the Monte-Carlo prediction to
-                // the *observed* model-to-model difference (module docs of
-                // `sse`). θ0 is restored afterwards.
-                let theta0 = imp.generator_mut().param_vector();
-                let sibling_set = sample_training_set(ds, n0, rng);
-                imp.init_networks(ds.n_features(), &mut Rng64::seed_from_u64(init_seed));
-                let mut sibling_stats = GuardStats::default();
-                let sibling = train_dim_resumable(
-                    imp,
-                    &sibling_set,
-                    &self.config.dim,
-                    guard,
-                    TrainPhase::Calibration,
-                    &mut sibling_stats,
-                    &tel,
-                    &phase_cache(self.config.dim.accel),
-                    &hooks,
-                    rng,
-                );
-                anomalies.absorb_guard(&sibling_stats);
-                match sibling {
-                    Ok(_) => {
-                        let theta_sibling = imp.generator_mut().param_vector();
-                        imp.generator_mut().set_param_vector(&theta0);
-                        let d_obs = model_distance(imp, &split.validation, &theta0, &theta_sibling);
-                        let d_ref = estimator.reference_mc_distance(imp, &split.validation);
-                        if d_obs > 1e-12 && d_ref > 1e-12 {
-                            estimator.set_calibration(d_obs / d_ref);
-                        }
-                    }
-                    Err(e) => {
-                        // SSE still works uncalibrated (Theorem 1's raw
-                        // constant); restore θ0 and carry on
-                        imp.generator_mut().set_param_vector(&theta0);
-                        anomalies.calibration_skipped = true;
-                        anomalies
-                            .notes
-                            .push(format!("calibration {e}; using uncalibrated SSE"));
-                        tel.record_event(Event::Degraded {
-                            reason: "calibration_skipped",
-                        });
-                    }
-                }
-            }
-            let sse = estimator.estimate(imp, &split.validation);
-            drop(span_sse);
-            (sse, t1.elapsed())
-        };
-
-        // lines 4-5: retrain on X* when n* > n0 (warm start from θ0);
-        // skipped when the deadline has expired — M0 is the best we have
-        let retrain_time = if sse.n_star > n0 && !self.deadline.expired() {
-            let t2 = Instant::now();
-            let _span_retrain = tel.span(SpanKind::Retrain);
-            let x_star = sample_training_set(ds, sse.n_star, rng);
-            let mut retrain_stats = GuardStats::default();
-            let retrain = train_dim_resumable(
-                imp,
-                &x_star,
-                &self.config.dim,
-                guard,
-                TrainPhase::Retrain,
-                &mut retrain_stats,
-                &tel,
-                &phase_cache(self.config.dim.accel),
-                &hooks,
-                rng,
-            );
-            anomalies.absorb_guard(&retrain_stats);
-            if let Err(e) = retrain {
-                // the guarded trainer already restored its best snapshot
-                // (at worst the warm-start θ0 = M0) — keep it
-                anomalies.retrain_failed = true;
-                anomalies
-                    .notes
-                    .push(format!("retrain {e}; keeping the initial model M0"));
-                tel.record_event(Event::Degraded {
-                    reason: "retrain_failed",
-                });
-            }
-            t2.elapsed()
-        } else {
-            Duration::ZERO
-        };
-
-        // lines 6-7: impute the full dataset
-        let span_impute = tel.span(SpanKind::Impute);
-        let mut imputed = impute_with_generator(imp, ds, rng);
-        let bad_cells = imputed.as_slice().iter().filter(|v| !v.is_finite()).count();
-        if bad_cells > 0 {
-            // last ring of defense: never hand back NaN — patch from the
-            // mean imputer (observed cells are untouched; they were
-            // validated finite and pass through the Eq.-1 merge)
-            let fallback = scis_imputers::mean::MeanImputer.impute(ds, rng);
-            imputed = Matrix::from_fn(imputed.rows(), imputed.cols(), |i, j| {
-                let v = imputed[(i, j)];
-                if v.is_finite() {
-                    v
-                } else {
-                    fallback[(i, j)]
-                }
-            });
-            anomalies.non_finite_cells_patched = bad_cells;
-            anomalies.notes.push(format!(
-                "patched {bad_cells} non-finite imputed cells from the mean imputer"
-            ));
-            tel.record_event(Event::Degraded {
-                reason: "non_finite_cells_patched",
-            });
-        }
-        drop(span_impute);
-        self.heartbeat.poll(&Progress {
-            phase: "impute",
-            epoch: 0,
-            epochs: 0,
-            shard: 1,
-            shards: 1,
-            rows_done: n_total as u64,
-            rows_total: n_total as u64,
-            rollbacks: anomalies.rollbacks as u64,
-            warm_hit_rate: 0.0,
-        });
-
-        if self.deadline.is_some() && self.deadline.expired() {
-            anomalies.deadline_exceeded = true;
-            anomalies
-                .notes
-                .push("run deadline expired; finished with the best model so far".into());
-            // the trainer records DeadlineHit when it observes the expiry;
-            // this covers a deadline that tripped between phases (the latch
-            // guarantees exactly one event per run)
-            if self.deadline.newly_expired() {
-                tel.record_event(Event::DeadlineHit {
-                    phase: "pipeline",
-                    epoch: 0,
-                });
-            }
-        }
-
-        let total_time = t_start.elapsed();
-        let flight_tail = if anomalies.is_degraded() || anomalies.deadline_exceeded {
-            tel.event_tail(POST_MORTEM_TAIL)
-        } else {
-            Vec::new()
-        };
-        let report = RunReport::assemble(
-            &tel.snapshot(),
-            n_total,
-            n0,
-            sse.n_star,
-            total_time.as_secs_f64(),
-            sse.trace.clone(),
-            &anomalies,
-        );
+        let mut sink = MemorySink::new();
+        let run = self.try_run_streamed(imp, ds, n0, rng, &mut sink)?;
         Ok(ScisOutcome {
-            imputed,
-            n_star: sse.n_star,
-            n_total,
-            n0,
-            sse,
-            initial_train_time,
-            sse_time,
-            retrain_time,
-            total_time,
-            anomalies,
-            report,
-            flight_tail,
+            imputed: sink.into_matrix(),
+            n_star: run.n_star,
+            n_total: run.n_total,
+            n0: run.n0,
+            sse: run.sse,
+            initial_train_time: run.initial_train_time,
+            sse_time: run.sse_time,
+            retrain_time: run.retrain_time,
+            total_time: run.total_time,
+            anomalies: run.anomalies,
+            report: run.report,
+            flight_tail: run.flight_tail,
         })
     }
 
-    /// [`Scis::try_run`] over a sharded [`RowSource`]: the same Algorithm 1,
-    /// never holding more than one shard of the full dataset (plus the
-    /// size-`n0`/`n*` training sets) in memory at a time.
+    /// Algorithm 1 over a sharded [`RowSource`], never holding more than one
+    /// shard of the full dataset (plus the size-`n0`/`n*` training sets) in
+    /// memory at a time. This is the only body of Algorithm 1:
+    /// [`Scis::try_run`] calls it with the in-memory dataset as a one-shard
+    /// source, so there is one sequence of RNG draws whatever the shard size.
     ///
     /// Phase by phase:
     /// * validation runs as a one-pass shard fold ([`validate_source`]);
     /// * the validation/initial split and every later training-set draw
-    ///   sample row ids through the *same* seeded `Rng64` calls as the
-    ///   in-memory path, then gather rows shard by shard;
+    ///   sample row ids from `rng`, then gather the rows shard by shard;
     /// * DIM training, calibration, SSE, and retraining operate on those
-    ///   gathered in-memory sets exactly as `try_run` does;
+    ///   gathered in-memory sets;
     /// * the final imputation is a shard-wise pass writing finished rows to
-    ///   `sink` incrementally (non-finite cells are patched from streamed
-    ///   column means, mirroring the in-memory mean-imputer patch).
+    ///   `sink` incrementally; non-finite cells are patched with the
+    ///   streamed observed column means.
     ///
-    /// For the same seed, the rows pushed to `sink` are bit-identical to
-    /// `try_run`'s [`ScisOutcome::imputed`] whenever the imputer's
-    /// reconstruction is row-independent (true for GAIN — verified by the
-    /// shard-stream integration tests at every thread count). The source
-    /// must keep the dataset invariant that missing cells hold NaN.
+    /// The rows pushed to `sink` are bit-identical at every shard size
+    /// whenever the imputer's reconstruction is row-independent (true for
+    /// GAIN; verified by the shard-stream integration tests at every thread
+    /// count). The source must keep the dataset invariant that missing
+    /// cells hold NaN.
     pub fn try_run_streamed(
         &self,
         imp: &mut dyn AdversarialImputer,
@@ -761,6 +426,8 @@ impl Scis {
     ) -> Result<StreamOutcome, ScisError> {
         let t_start = Instant::now();
         let tel = self.telemetry.clone();
+        // forward the collector into the model so forward/backward passes
+        // are counted (no-op for an `off` handle)
         imp.set_telemetry(tel.clone());
         let n_total = src.n_rows();
         let n_v = n0; // paper §VI: Nv = n0
@@ -794,27 +461,25 @@ impl Scis {
             deadline: self.deadline.clone(),
             heartbeat: self.heartbeat.clone(),
         };
+        let accel = self.config.dim.accel;
 
-        // line 1: sample validation + initial sets (same rng draws as the
-        // in-memory path, rows gathered shard by shard)
+        // line 1: sample validation + initial sets (row ids drawn from rng,
+        // rows gathered shard by shard)
         let split = sample_initial_split_source(src, n_v, n0, rng)?;
         drop(span_validate);
 
-        // line 2: DIM-train M0 on X0 (identical to `try_run` — the gathered
-        // initial set is bit-equal to the in-memory `select_rows` result)
+        // line 2: DIM-train M0 on X0. The init seed is remembered so the
+        // calibration sibling (below) starts from *identical* weights —
+        // Theorem 1 models sampling noise around one optimum, not
+        // re-initialization noise.
         let init_seed = rng.next_u64();
         let t0 = Instant::now();
         let span_initial = tel.span(SpanKind::TrainInitial);
         imp.init_networks(src.n_cols(), &mut Rng64::seed_from_u64(init_seed));
         let mut guard_stats = GuardStats::default();
-        let phase_cache = |accel: AccelConfig| {
-            if accel.warm_start {
-                DualCache::enabled()
-            } else {
-                DualCache::off()
-            }
-        };
-        let initial_cache = phase_cache(self.config.dim.accel);
+        // The initial-phase cache is reused read-only by the SSE Fisher
+        // probe, which iterates the same X0 rows (see `phase_cache`).
+        let initial_cache = phase_cache(accel);
         let initial = train_dim_resumable(
             imp,
             &split.initial,
@@ -831,9 +496,9 @@ impl Scis {
         let initial_train_time = t0.elapsed();
         anomalies.absorb_guard(&guard_stats);
         if let Err(e) = initial {
-            // graceful degradation, streamed: fill missing cells from the
-            // one-pass column means (bit-equal to `MeanImputer::impute` on
-            // the materialized dataset) and push shard by shard
+            // graceful degradation: the adversarial model is unusable, but
+            // filling missing cells from the one-pass column means always
+            // produces a finite answer
             anomalies.mean_fallback = true;
             anomalies
                 .notes
@@ -841,50 +506,32 @@ impl Scis {
             tel.record_event(Event::Degraded {
                 reason: "mean_fallback",
             });
-            let flight_tail = tel.event_tail(POST_MORTEM_TAIL);
             let means = observed_column_means(src)?;
             let mut rows_written = 0usize;
             for k in 0..src.n_shards() {
-                let shard = src.load_shard(k)?;
-                let block = Matrix::from_fn(shard.n_samples(), src.n_cols(), |i, j| {
-                    let v = shard.values[(i, j)];
-                    if v.is_nan() {
-                        means[j]
-                    } else {
-                        v
-                    }
-                });
+                let mut block = src.load_shard(k)?.values;
+                patch_non_finite(&mut block, &means);
                 rows_written += block.rows();
                 sink.push_rows(&block)?;
             }
-            let total_time = t_start.elapsed();
-            let report = RunReport::assemble(
-                &tel.snapshot(),
-                n_total,
-                n0,
-                n0,
-                total_time.as_secs_f64(),
-                Vec::new(),
-                &anomalies,
-            );
-            return Ok(StreamOutcome {
+            let sse = SseResult::skipped(n0);
+            let times = [initial_train_time, Duration::ZERO, Duration::ZERO];
+            return Ok(finish(
+                &tel,
+                t_start,
                 rows_written,
-                n_star: n0,
                 n_total,
                 n0,
-                sse: SseResult::skipped(n0),
-                initial_train_time,
-                sse_time: Duration::ZERO,
-                retrain_time: Duration::ZERO,
-                total_time,
+                sse,
+                times,
                 anomalies,
-                report,
-                flight_tail,
-            });
+            ));
         }
 
         // line 3: SSE — operates on n0, N, the validation set, and the
-        // initial set only; none of them require the full matrix
+        // initial set only; none of them require the full matrix. Skipped
+        // entirely when the deadline already expired during initial
+        // training: n* falls back to n0 and the run finishes with M0.
         let t1 = Instant::now();
         let (sse, sse_time) = if self.deadline.expired() {
             (SseResult::skipped(n0), Duration::ZERO)
@@ -896,9 +543,12 @@ impl Scis {
                 tol: 1e-8,
                 exec: self.config.dim.exec,
                 deadline: self.deadline.clone(),
-                precision: self.config.dim.accel.precision(),
+                precision: accel.precision(),
             };
             let batch = self.config.dim.train.batch_size;
+            // read-only reuse of the initial-phase duals: warm-starting the
+            // probe's solves from the converged training potentials saves
+            // iterations without writing probe-state duals back
             let fisher = fisher_diagonal_cached(
                 imp,
                 &split.initial,
@@ -907,7 +557,7 @@ impl Scis {
                 &guard.sinkhorn_escalation,
                 &tel,
                 &initial_cache,
-                self.config.dim.accel,
+                accel,
                 rng,
             );
             let mut estimator = SseEstimator::new(
@@ -923,6 +573,10 @@ impl Scis {
             estimator.set_deadline(self.deadline.clone());
             if self.config.sse.calibrate && !self.deadline.expired() {
                 let _span_cal = tel.span(SpanKind::Calibration);
+                // anchor Theorem 1's hidden constant: train a sibling model on a
+                // second size-n0 sample and match the Monte-Carlo prediction to
+                // the *observed* model-to-model difference (module docs of
+                // `sse`). θ0 is restored afterwards.
                 let theta0 = imp.generator_mut().param_vector();
                 let sibling_set = sample_training_set_source(src, n0, rng)?;
                 imp.init_networks(src.n_cols(), &mut Rng64::seed_from_u64(init_seed));
@@ -935,7 +589,7 @@ impl Scis {
                     TrainPhase::Calibration,
                     &mut sibling_stats,
                     &tel,
-                    &phase_cache(self.config.dim.accel),
+                    &phase_cache(accel),
                     &hooks,
                     rng,
                 );
@@ -951,6 +605,8 @@ impl Scis {
                         }
                     }
                     Err(e) => {
+                        // SSE still works uncalibrated (Theorem 1's raw
+                        // constant); restore θ0 and carry on
                         imp.generator_mut().set_param_vector(&theta0);
                         anomalies.calibration_skipped = true;
                         anomalies
@@ -967,8 +623,9 @@ impl Scis {
             (sse, t1.elapsed())
         };
 
-        // lines 4-5: retrain on X* when n* > n0 — X* is gathered shard by
-        // shard; n* rows is the streamed pipeline's peak training set
+        // lines 4-5: retrain on X* when n* > n0 (warm start from θ0); X* is
+        // gathered shard by shard, so n* rows is the peak training set.
+        // Skipped when the deadline has expired — M0 is the best we have.
         let retrain_time = if sse.n_star > n0 && !self.deadline.expired() {
             let t2 = Instant::now();
             let _span_retrain = tel.span(SpanKind::Retrain);
@@ -982,12 +639,14 @@ impl Scis {
                 TrainPhase::Retrain,
                 &mut retrain_stats,
                 &tel,
-                &phase_cache(self.config.dim.accel),
+                &phase_cache(accel),
                 &hooks,
                 rng,
             );
             anomalies.absorb_guard(&retrain_stats);
             if let Err(e) = retrain {
+                // the guarded trainer already restored its best snapshot
+                // (at worst the warm-start θ0 = M0) — keep it
                 anomalies.retrain_failed = true;
                 anomalies
                     .notes
@@ -1005,7 +664,10 @@ impl Scis {
         // sink. `impute_with_generator` never consumes rng, and a
         // row-independent reconstruction makes per-shard output bit-equal
         // to the whole-matrix pass. Column means for the non-finite patch
-        // are computed lazily — clean runs never pay the extra pass.
+        // (the last ring of defense: never hand back NaN) are computed
+        // lazily, so clean runs never pay the extra pass. Observed cells are
+        // untouched: they were validated finite and pass through the Eq.-1
+        // merge.
         let span_impute = tel.span(SpanKind::Impute);
         let mut bad_cells = 0usize;
         let mut means: Option<Vec<f64>> = None;
@@ -1013,26 +675,17 @@ impl Scis {
         for k in 0..src.n_shards() {
             let shard = src.load_shard(k)?;
             let mut block = impute_with_generator(imp, &shard, rng);
-            let shard_bad = block.as_slice().iter().filter(|v| !v.is_finite()).count();
-            if shard_bad > 0 {
-                bad_cells += shard_bad;
+            if block.as_slice().iter().any(|v| !v.is_finite()) {
                 if means.is_none() {
                     means = Some(observed_column_means(src)?);
                 }
-                let fills = means.as_ref().expect("means just computed");
-                block = Matrix::from_fn(block.rows(), block.cols(), |i, j| {
-                    let v = block[(i, j)];
-                    if v.is_finite() {
-                        v
-                    } else {
-                        fills[j]
-                    }
-                });
+                let fills = means.as_deref().expect("column means computed above");
+                bad_cells += patch_non_finite(&mut block, fills);
             }
             rows_written += block.rows();
             sink.push_rows(&block)?;
-            // one heartbeat per imputed shard: the streamed pipeline's
-            // natural unit of forward progress
+            // one heartbeat per imputed shard: the pipeline's natural unit
+            // of forward progress
             self.heartbeat.poll(&Progress {
                 phase: "impute",
                 epoch: 0,
@@ -1061,6 +714,9 @@ impl Scis {
             anomalies
                 .notes
                 .push("run deadline expired; finished with the best model so far".into());
+            // the trainer records DeadlineHit when it observes the expiry;
+            // this covers a deadline that tripped between phases (the latch
+            // guarantees exactly one event per run)
             if self.deadline.newly_expired() {
                 tel.record_event(Event::DeadlineHit {
                     phase: "pipeline",
@@ -1068,36 +724,89 @@ impl Scis {
                 });
             }
         }
-
-        let total_time = t_start.elapsed();
-        let flight_tail = if anomalies.is_degraded() || anomalies.deadline_exceeded {
-            tel.event_tail(POST_MORTEM_TAIL)
-        } else {
-            Vec::new()
-        };
-        let report = RunReport::assemble(
-            &tel.snapshot(),
-            n_total,
-            n0,
-            sse.n_star,
-            total_time.as_secs_f64(),
-            sse.trace.clone(),
-            &anomalies,
-        );
-        Ok(StreamOutcome {
+        let times = [initial_train_time, sse_time, retrain_time];
+        Ok(finish(
+            &tel,
+            t_start,
             rows_written,
-            n_star: sse.n_star,
             n_total,
             n0,
             sse,
-            initial_train_time,
-            sse_time,
-            retrain_time,
-            total_time,
+            times,
             anomalies,
-            report,
-            flight_tail,
-        })
+        ))
+    }
+}
+
+/// A fresh dual cache for one training phase. Each phase gets its *own*
+/// cache: entries are keyed by dataset-local row index, and the phases
+/// train on different row sets (X0, the sibling sample, X*), so sharing
+/// would alias unrelated rows.
+fn phase_cache(accel: AccelConfig) -> DualCache {
+    if accel.warm_start {
+        DualCache::enabled()
+    } else {
+        DualCache::off()
+    }
+}
+
+/// Replaces every non-finite cell of `block` with its column's entry of
+/// `fills`; returns how many cells it replaced.
+fn patch_non_finite(block: &mut Matrix, fills: &[f64]) -> usize {
+    let cols = block.cols();
+    let mut patched = 0;
+    for (k, v) in block.as_mut_slice().iter_mut().enumerate() {
+        if !v.is_finite() {
+            *v = fills[k % cols];
+            patched += 1;
+        }
+    }
+    patched
+}
+
+/// Closes a run: the post-mortem flight tail (degraded or deadline runs
+/// only), the run report, and the outcome record. `times` holds the
+/// initial-training, SSE and retraining wall-clock, in that order.
+#[allow(clippy::too_many_arguments)]
+fn finish(
+    tel: &Telemetry,
+    t_start: Instant,
+    rows_written: usize,
+    n_total: usize,
+    n0: usize,
+    sse: SseResult,
+    times: [Duration; 3],
+    anomalies: RunAnomalies,
+) -> StreamOutcome {
+    let [initial_train_time, sse_time, retrain_time] = times;
+    let total_time = t_start.elapsed();
+    let flight_tail = if anomalies.is_degraded() || anomalies.deadline_exceeded {
+        tel.event_tail(POST_MORTEM_TAIL)
+    } else {
+        Vec::new()
+    };
+    let report = RunReport::assemble(
+        &tel.snapshot(),
+        n_total,
+        n0,
+        sse.n_star,
+        total_time.as_secs_f64(),
+        sse.trace.clone(),
+        &anomalies,
+    );
+    StreamOutcome {
+        rows_written,
+        n_star: sse.n_star,
+        n_total,
+        n0,
+        sse,
+        initial_train_time,
+        sse_time,
+        retrain_time,
+        total_time,
+        anomalies,
+        report,
+        flight_tail,
     }
 }
 

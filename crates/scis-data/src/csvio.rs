@@ -6,9 +6,10 @@
 //! matrices for external analysis.
 
 use crate::dataset::Dataset;
+use crate::shard::{ShardError, ShardSink};
 use scis_tensor::Matrix;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Errors from CSV parsing.
 #[derive(Debug)]
@@ -66,29 +67,63 @@ impl From<std::io::Error> for CsvError {
 
 /// Writes a dataset as CSV: missing cells become empty fields.
 pub fn write_dataset(path: &Path, ds: &Dataset) -> Result<(), CsvError> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    let d = ds.n_features();
-    for j in 0..d {
-        if j > 0 {
-            write!(w, ",")?;
-        }
-        write!(w, "c{}", j)?;
-    }
-    writeln!(w)?;
-    for i in 0..ds.n_samples() {
-        for j in 0..d {
-            if j > 0 {
-                write!(w, ",")?;
-            }
-            let v = ds.values[(i, j)];
-            if !v.is_nan() {
-                write!(w, "{}", v)?;
-            }
-        }
-        writeln!(w)?;
-    }
-    w.flush()?;
+    let mut w = CsvWriter::create(path, ds.n_features())?;
+    w.write_rows(&ds.values)?;
+    w.finish()?;
     Ok(())
+}
+
+/// Incremental CSV writer: the `c0,c1,…` header on creation, then one line
+/// per row, `{}` per cell and an empty field for NaN. It is the
+/// [`ShardSink`] streamed output goes to, and [`write_dataset`] is built on
+/// it, so both write the same bytes.
+pub struct CsvWriter {
+    w: BufWriter<std::fs::File>,
+    path: PathBuf,
+}
+
+impl CsvWriter {
+    /// Creates (or truncates) `path` and writes the header for `n_cols`
+    /// columns.
+    pub fn create(path: &Path, n_cols: usize) -> std::io::Result<Self> {
+        let mut w = BufWriter::new(std::fs::File::create(path)?);
+        let header: Vec<String> = (0..n_cols).map(|j| format!("c{j}")).collect();
+        writeln!(w, "{}", header.join(","))?;
+        Ok(Self {
+            w,
+            path: path.to_path_buf(),
+        })
+    }
+
+    /// Appends every row of `rows`.
+    pub fn write_rows(&mut self, rows: &Matrix) -> std::io::Result<()> {
+        for i in 0..rows.rows() {
+            for (j, v) in rows.row(i).iter().enumerate() {
+                if j > 0 {
+                    self.w.write_all(b",")?;
+                }
+                if !v.is_nan() {
+                    write!(self.w, "{}", v)?;
+                }
+            }
+            self.w.write_all(b"\n")?;
+        }
+        Ok(())
+    }
+
+    /// Flushes the buffered rows to the file.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        self.w.flush()
+    }
+}
+
+impl ShardSink for CsvWriter {
+    fn push_rows(&mut self, rows: &Matrix) -> Result<(), ShardError> {
+        self.write_rows(rows).map_err(|source| ShardError::Io {
+            path: self.path.clone(),
+            source,
+        })
+    }
 }
 
 /// Streaming row reader over a CSV file with a header line: yields one
@@ -190,7 +225,6 @@ pub fn read_dataset(path: &Path) -> Result<Dataset, CsvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -212,6 +246,36 @@ mod tests {
         assert_eq!(back.values[(1, 1)], -2.25);
         assert_eq!(back.mask, ds.mask);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sharded_writes_match_write_dataset_byte_for_byte() {
+        let v = Matrix::from_fn(23, 3, |i, j| {
+            if (i + j) % 4 == 0 {
+                f64::NAN
+            } else {
+                (i as f64 - 7.5) * 0.1 + j as f64 * 1e-9
+            }
+        });
+        let whole = tmp("whole.csv");
+        write_dataset(&whole, &Dataset::from_values(v.clone())).unwrap();
+        let expected = std::fs::read(&whole).unwrap();
+        for shard_rows in [1, 5, 23] {
+            let path = tmp(&format!("sharded_{shard_rows}.csv"));
+            let mut w = CsvWriter::create(&path, 3).unwrap();
+            for start in (0..23).step_by(shard_rows) {
+                let idx: Vec<usize> = (start..(start + shard_rows).min(23)).collect();
+                w.push_rows(&v.select_rows(&idx)).unwrap();
+            }
+            w.finish().unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                expected,
+                "{shard_rows}-row shards"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+        std::fs::remove_file(&whole).ok();
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl KindState {
 /// Infers per-column kinds from observed values: a column whose observed
 /// values are all small non-negative integers with at most `max_levels`
 /// distinct values is treated as categorical (ordinal-coded); everything
-/// else is continuous. Used by the `scis-impute` CLI so heterogeneous
+/// else is continuous. Used by the `scis` CLI so heterogeneous
 /// heads (HIVAE) work on raw CSVs. A column with no observed values is
 /// continuous.
 pub fn infer_kinds(values: &Matrix, max_levels: usize) -> Vec<ColumnKind> {

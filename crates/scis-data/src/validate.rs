@@ -77,105 +77,94 @@ impl DataReport {
 impl Dataset {
     /// Checks the dataset for defects that would poison training.
     ///
-    /// Returns `Err` on the first observed cell holding a non-finite value
+    /// Returns `Err` on the first column (in column order) that holds a
+    /// non-finite observed cell, naming that column's first such row
     /// (missing cells are NaN *by design* and are skipped), and otherwise a
     /// [`DataReport`] flagging all-missing and constant columns.
     pub fn validate(&self) -> Result<DataReport, DataError> {
         if self.n_samples() == 0 || self.n_features() == 0 {
             return Err(DataError::Empty);
         }
-        let mut report = DataReport::default();
-        for j in 0..self.n_features() {
-            let mut first: Option<f64> = None;
-            let mut constant = true;
-            for i in 0..self.n_samples() {
-                if !self.mask.get(i, j) {
+        let mut fold = ValidateFold::new(self.n_features());
+        fold.absorb(self, 0);
+        fold.finish(&self.kinds)
+    }
+}
+
+/// Streaming [`Dataset::validate`] over a sharded source: one pass in shard
+/// order, holding only per-column fold state. Both checks run the same
+/// fold, so the report — and on invalid data the reported defect — is
+/// identical to validating the materialized dataset at any shard size.
+pub fn validate_source(src: &dyn RowSource) -> Result<DataReport, ShardError> {
+    if src.n_rows() == 0 || src.n_cols() == 0 {
+        return Err(ShardError::Data(DataError::Empty));
+    }
+    let mut fold = ValidateFold::new(src.n_cols());
+    for k in 0..src.n_shards() {
+        fold.absorb(&src.load_shard(k)?, src.shard_span(k).0);
+    }
+    Ok(fold.finish(src.kinds())?)
+}
+
+/// Per-column validation state, folded over rows in ascending order. Each
+/// column's state depends only on its own observed values in row order,
+/// which shards preserve.
+struct ValidateFold {
+    /// First observed value per column.
+    first: Vec<Option<f64>>,
+    /// Whether every observed value so far equals `first`.
+    constant: Vec<bool>,
+    /// First non-finite observed cell per column: `(row, value)`.
+    non_finite: Vec<Option<(usize, f64)>>,
+}
+
+impl ValidateFold {
+    fn new(d: usize) -> Self {
+        Self {
+            first: vec![None; d],
+            constant: vec![true; d],
+            non_finite: vec![None; d],
+        }
+    }
+
+    /// Folds `block`, whose row 0 is row `start` of the whole dataset.
+    fn absorb(&mut self, block: &Dataset, start: usize) {
+        for i in 0..block.n_samples() {
+            for (j, &v) in block.values.row(i).iter().enumerate() {
+                if !block.mask.get(i, j) {
                     continue;
                 }
-                let v = self.values[(i, j)];
                 if !v.is_finite() {
-                    return Err(DataError::NonFiniteObserved {
-                        row: i,
-                        col: j,
-                        value: v,
-                    });
+                    self.non_finite[j].get_or_insert((start + i, v));
+                    continue;
                 }
-                match first {
-                    None => first = Some(v),
-                    Some(f0) if f0 != v => constant = false,
+                match self.first[j] {
+                    None => self.first[j] = Some(v),
+                    Some(f0) if f0 != v => self.constant[j] = false,
                     Some(_) => {}
                 }
             }
-            match first {
-                None => {
-                    if matches!(self.kinds[j], ColumnKind::Categorical { .. }) {
-                        return Err(DataError::AllMissingCategorical { col: j });
-                    }
-                    report.all_missing_columns.push(j);
+        }
+    }
+
+    /// The first defect in column order, else the report.
+    fn finish(self, kinds: &[ColumnKind]) -> Result<DataReport, DataError> {
+        let mut report = DataReport::default();
+        for (j, kind) in kinds.iter().enumerate() {
+            if let Some((row, value)) = self.non_finite[j] {
+                return Err(DataError::NonFiniteObserved { row, col: j, value });
+            }
+            match self.first[j] {
+                None if matches!(kind, ColumnKind::Categorical { .. }) => {
+                    return Err(DataError::AllMissingCategorical { col: j });
                 }
-                Some(_) if constant => report.constant_columns.push(j),
+                None => report.all_missing_columns.push(j),
+                Some(_) if self.constant[j] => report.constant_columns.push(j),
                 Some(_) => {}
             }
         }
         Ok(report)
     }
-}
-
-/// Streaming [`Dataset::validate`] over a sharded source: one pass in shard
-/// order, holding only per-column fold state.
-///
-/// For valid data the resulting [`DataReport`] is identical to validating
-/// the materialized dataset — each column's first/constant state depends
-/// only on that column's observed values in row order, which shards
-/// preserve. On *invalid* data the reported defect cell can differ: the
-/// in-memory scan walks column-major and stops at its first bad cell, the
-/// streamed scan walks row-major; both return the same error type.
-pub fn validate_source(src: &dyn RowSource) -> Result<DataReport, ShardError> {
-    if src.n_rows() == 0 || src.n_cols() == 0 {
-        return Err(ShardError::Data(DataError::Empty));
-    }
-    let d = src.n_cols();
-    let mut first: Vec<Option<f64>> = vec![None; d];
-    let mut constant = vec![true; d];
-    for k in 0..src.n_shards() {
-        let shard = src.load_shard(k)?;
-        let (start, _) = src.shard_span(k);
-        for i in 0..shard.n_samples() {
-            for (j, &v) in shard.values.row(i).iter().enumerate() {
-                if !shard.mask.get(i, j) {
-                    continue;
-                }
-                if !v.is_finite() {
-                    return Err(ShardError::Data(DataError::NonFiniteObserved {
-                        row: start + i,
-                        col: j,
-                        value: v,
-                    }));
-                }
-                match first[j] {
-                    None => first[j] = Some(v),
-                    Some(f0) if f0 != v => constant[j] = false,
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-    let mut report = DataReport::default();
-    for j in 0..d {
-        match first[j] {
-            None => {
-                if matches!(src.kinds()[j], ColumnKind::Categorical { .. }) {
-                    return Err(ShardError::Data(DataError::AllMissingCategorical {
-                        col: j,
-                    }));
-                }
-                report.all_missing_columns.push(j);
-            }
-            Some(_) if constant[j] => report.constant_columns.push(j),
-            Some(_) => {}
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -285,6 +274,35 @@ mod tests {
                 ..
             }))
         ));
+    }
+
+    #[test]
+    fn both_checks_report_the_same_defect_among_several() {
+        // three non-finite observed cells: the first in column order wins,
+        // at that column's first bad row, whatever the shard size
+        let complete = Matrix::from_rows(&[
+            &[1.0, f64::INFINITY, 2.0],
+            &[3.0, 4.0, f64::NAN],
+            &[f64::NEG_INFINITY, f64::NAN, 5.0],
+        ]);
+        let ds = Dataset {
+            values: complete,
+            mask: crate::mask::MaskMatrix::all_observed(3, 3),
+            kinds: vec![crate::ColumnKind::Continuous; 3],
+        };
+        let expected = DataError::NonFiniteObserved {
+            row: 2,
+            col: 0,
+            value: f64::NEG_INFINITY,
+        };
+        assert_eq!(ds.validate(), Err(expected.clone()));
+        for shard_rows in 1..=3 {
+            let chunked = crate::shard::ChunkedDataset::new(&ds, shard_rows);
+            match validate_source(&chunked) {
+                Err(ShardError::Data(e)) => assert_eq!(e, expected),
+                other => panic!("expected a data error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! encoding, no pipelining, no TLS — clients that need more sit behind a
 //! reverse proxy, exactly like every other single-binary model server.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// A parsed request.
 #[derive(Debug)]
@@ -53,6 +54,11 @@ pub enum HttpError {
         /// That cap's value (bytes; header lines for `"count"`).
         limit: usize,
     },
+    /// The whole request did not arrive within [`REQUEST_DEADLINE`] → 408.
+    Timeout {
+        /// The deadline that ran out.
+        limit: Duration,
+    },
 }
 
 /// Longest request line or header line accepted, line terminator included.
@@ -61,10 +67,31 @@ pub const MAX_LINE_BYTES: usize = 8 * 1024;
 pub const MAX_HEADER_COUNT: usize = 64;
 /// Most bytes the request line and all headers may take together.
 pub const MAX_HEAD_BYTES: usize = 32 * 1024;
+/// Longest time one request (line, headers and body together) may take to
+/// arrive, so a client that trickles bytes cannot hold a connection slot.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 impl From<std::io::Error> for HttpError {
     fn from(e: std::io::Error) -> Self {
         HttpError::Io(e)
+    }
+}
+
+/// The request stream under a whole-request deadline: each read waits at
+/// most for the time that remains of it.
+struct DeadlineStream<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineStream<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
 }
 
@@ -78,6 +105,9 @@ impl std::fmt::Display for HttpError {
             }
             HttpError::HeaderTooLarge { cap, limit } => {
                 write!(f, "request head exceeds the {} cap of {}", cap, limit)
+            }
+            HttpError::Timeout { limit } => {
+                write!(f, "request did not arrive within {:?}", limit)
             }
         }
     }
@@ -110,11 +140,35 @@ fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<Strin
 
 /// Reads one request from the stream. `max_body` caps `Content-Length`;
 /// the request line and headers are held to [`MAX_LINE_BYTES`] per line,
-/// [`MAX_HEADER_COUNT`] lines and [`MAX_HEAD_BYTES`] in total.
+/// [`MAX_HEADER_COUNT`] lines and [`MAX_HEAD_BYTES`] in total, and the
+/// whole request must arrive within [`REQUEST_DEADLINE`].
 pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
+    read_request_within(stream, max_body, REQUEST_DEADLINE)
+}
+
+/// [`read_request`] under a deadline of `limit` from now. A read that times
+/// out ran out of the deadline, since each read waits only for what is
+/// left of it.
+fn read_request_within(
+    stream: &TcpStream,
+    max_body: usize,
+    limit: Duration,
+) -> Result<Request, HttpError> {
+    let mut timed = DeadlineStream {
+        stream,
+        deadline: Instant::now() + limit,
+    };
+    parse_request(&mut BufReader::new(&mut timed), max_body).map_err(|e| match e {
+        HttpError::Io(io) if matches!(io.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            HttpError::Timeout { limit }
+        }
+        other => other,
+    })
+}
+
+fn parse_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
     let mut budget = MAX_HEAD_BYTES;
-    let line = read_head_line(&mut reader, &mut budget)?;
+    let line = read_head_line(reader, &mut budget)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -136,7 +190,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     let mut trace_id: Option<String> = None;
     let mut headers = 0usize;
     loop {
-        let header = read_head_line(&mut reader, &mut budget)?;
+        let header = read_head_line(reader, &mut budget)?;
         if header.is_empty() {
             return Err(HttpError::Malformed("connection closed mid-headers".into()));
         }
@@ -203,6 +257,7 @@ pub fn status_phrase(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
@@ -394,6 +449,38 @@ mod tests {
                 limit: MAX_HEAD_BYTES
             })
         ));
+    }
+
+    #[test]
+    fn a_trickling_client_runs_out_of_the_request_deadline() {
+        // one head byte every 40 ms: each read returns well inside any
+        // per-read timeout, so only a whole-request deadline stops it
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\nX-Slow: ").unwrap();
+            for _ in 0..200 {
+                std::thread::sleep(Duration::from_millis(40));
+                if s.write_all(b"a").is_err() {
+                    break; // the server gave up and closed the connection
+                }
+            }
+        });
+        let (conn, _) = listener.accept().unwrap();
+        let limit = Duration::from_millis(300);
+        let started = Instant::now();
+        let err = read_request_within(&conn, 1024, limit).unwrap_err();
+        let waited = started.elapsed();
+        drop(conn);
+        client.join().unwrap();
+        assert!(
+            matches!(err, HttpError::Timeout { limit: l } if l == limit),
+            "got {err:?}"
+        );
+        assert!(waited >= limit, "gave up after {waited:?}");
+        assert!(waited < limit * 4, "held on for {waited:?}");
+        assert_eq!(status_phrase(408), "Request Timeout");
     }
 
     #[test]

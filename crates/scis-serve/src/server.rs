@@ -278,7 +278,6 @@ fn access_log_line(
 
 fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     let started = Instant::now();
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let request = match read_request(stream, shared.cfg.max_body_bytes) {
         Ok(r) => r,
         Err(HttpError::Io(_)) => return, // client vanished; nothing to answer
@@ -302,6 +301,13 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
                 ),
                 e @ HttpError::HeaderTooLarge { .. } => (
                     431,
+                    format!(
+                        "{{\"error\":{}}}",
+                        scis_telemetry::json_escape(&e.to_string())
+                    ),
+                ),
+                e @ HttpError::Timeout { .. } => (
+                    408,
                     format!(
                         "{{\"error\":{}}}",
                         scis_telemetry::json_escape(&e.to_string())

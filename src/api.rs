@@ -27,8 +27,7 @@
 //! ```
 //!
 //! Fallible entry points ([`Scis::try_run`], [`ModelBundle::load`]) return
-//! typed errors ([`ScisError`], [`BundleError`]); the panicking `Scis::run`
-//! wrapper is deprecated and slated for removal.
+//! typed errors ([`ScisError`], [`BundleError`]).
 
 pub use scis_core::dim::{AccelConfig, DimConfig};
 pub use scis_core::error::{ScisError, TrainingError};

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Flag documentation lives on [`scis_repro::cli`]; `scis help` prints the
-//! short form. The legacy `scis-impute INPUT OUTPUT [flags]` binary still
-//! works for one release and maps to `scis train`.
+//! short form. Exit codes: `0` clean success, `1` error, `2` degraded
+//! success, `3` deadline-exceeded success.
 
 use std::process::ExitCode;
 

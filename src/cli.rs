@@ -1,11 +1,9 @@
-//! Shared command-line implementation behind the `scis` multitool and the
-//! legacy `scis-impute` shim.
+//! Command-line implementation behind the `scis` multitool.
 //!
 //! The public surface is four subcommands over one flag vocabulary:
 //!
-//! * `scis train INPUT OUTPUT [flags]` — the full SSE pipeline (the old
-//!   `scis-impute` behavior, flag-for-flag); `--save-model` now writes a
-//!   self-contained [`ModelBundle`] artifact instead of bare weights.
+//! * `scis train INPUT OUTPUT [flags]` — the full SSE pipeline;
+//!   `--save-model` writes a self-contained [`ModelBundle`] artifact.
 //! * `scis impute INPUT OUTPUT --model PATH [--threads t]` — apply-only:
 //!   load a bundle (or a bare v2 generator file) and fill a CSV without
 //!   training.
@@ -16,16 +14,20 @@
 //!
 //! The global flags `--threads`, `--trace-json`, `--events`, and
 //! `--profile` may also appear *before* the subcommand; they are forwarded
-//! into it. The legacy `scis-impute INPUT OUTPUT [flags]` invocation maps
-//! to `train` unchanged (same stderr, same exit codes) plus a deprecation
-//! notice.
+//! into it.
+//!
+//! `train` and `impute` read their input in memory, or with `--shard-rows`
+//! spill it to checksummed shards first; either way one code path runs
+//! over the input as a [`RowSource`] (the in-memory dataset is a one-shard
+//! source) and writes the output CSV shard by shard, so both modes write
+//! the same bytes.
 //!
 //! Exit codes (train/impute): `0` clean, `1` error, `2` degraded output,
 //! `3` deadline-exceeded (precedence over 2).
 
 use scis_core::pipeline::{Scis, ScisConfig};
-use scis_core::{CheckpointPolicy, TrainCheckpoint};
-use scis_data::csvio::{read_dataset, write_dataset, CsvRows};
+use scis_core::{CheckpointPolicy, RunAnomalies, StreamOutcome, TrainCheckpoint};
+use scis_data::csvio::{read_dataset, CsvRows, CsvWriter};
 use scis_data::dataset::{infer_kinds_source, ColumnKind};
 use scis_data::normalize::MinMaxScaler;
 use scis_data::shard::{ShardError, ShardSink, SpillWriter};
@@ -72,7 +74,7 @@ pub fn run_scis() -> ExitCode {
     let mut rest: Vec<String> = argv.into_iter().skip(1).collect();
     rest.extend(forwarded);
     match sub.as_str() {
-        "train" => finish(run_train("scis", "scis train", rest)),
+        "train" => finish(run_train("scis", rest)),
         "impute" => finish(run_impute("scis", rest)),
         "serve" => finish(run_serve("scis", rest)),
         "report" => finish(run_report(rest)),
@@ -85,19 +87,6 @@ pub fn run_scis() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Entry point for the legacy `scis-impute` shim: the old single-command
-/// interface, mapped to `train` with a deprecation notice. Behavior and
-/// exit codes are unchanged for one release.
-pub fn run_legacy_impute() -> ExitCode {
-    eprintln!(
-        "scis-impute: deprecation notice — this invocation form is now `scis train INPUT.csv \
-         OUTPUT.csv [flags]` (and apply-only runs are `scis impute`); the scis-impute shim \
-         will be removed in a future release"
-    );
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    finish(run_train("scis-impute", "scis-impute", argv))
 }
 
 const TOP_USAGE: &str = "usage: scis [--threads t] [--trace-json p] [--events p] [--profile] <subcommand>\n\
@@ -117,6 +106,15 @@ struct RunFlags {
     deadline_exceeded: bool,
 }
 
+impl From<&RunAnomalies> for RunFlags {
+    fn from(a: &RunAnomalies) -> Self {
+        Self {
+            degraded: a.is_degraded(),
+            deadline_exceeded: a.deadline_exceeded,
+        }
+    }
+}
+
 fn finish(result: Result<RunFlags, String>) -> ExitCode {
     match result {
         Ok(flags) if flags.deadline_exceeded => ExitCode::from(3),
@@ -130,7 +128,7 @@ fn finish(result: Result<RunFlags, String>) -> ExitCode {
 }
 
 // ---------------------------------------------------------------------------
-// train — the full pipeline (old scis-impute behavior)
+// train — the full pipeline
 // ---------------------------------------------------------------------------
 
 struct TrainArgs {
@@ -462,149 +460,167 @@ fn heartbeat_hook(args: &TrainArgs) -> Result<scis_core::HeartbeatHook, String> 
     ))
 }
 
-/// Imputes under the chosen method, reporting the anomaly flags that decide
-/// the exit code. `orig`/`scaler` carry the pre-normalization view needed
-/// to assemble a model bundle for `--save-model`.
-#[allow(clippy::too_many_lines)]
-fn impute(
-    prog: &str,
-    args: &TrainArgs,
-    ds: &Dataset,
-    orig: &Dataset,
-    scaler: &MinMaxScaler,
-    rng: &mut Rng64,
-) -> Result<(Matrix, RunFlags), String> {
-    let train = TrainConfig {
+/// The training hyper-parameters a parsed command line asks for.
+fn train_config(args: &TrainArgs) -> TrainConfig {
+    TrainConfig {
         epochs: args.epochs,
         ..TrainConfig::default()
-    };
-    match args.method.as_str() {
-        "scis-gain" => {
-            let mut gain = GainImputer::new(train);
-            if let Some(path) = &args.load_model {
-                // pre-trained bare generator: skip Algorithm 1, just impute
-                gain.load_generator(path)
-                    .map_err(|e| format!("loading model: {}", e))?;
-                eprintln!("{}: loaded generator from {:?}", prog, path);
-                let out =
-                    scis_imputers::traits::impute_with_generator_chunked(&mut gain, ds, 65_536);
-                return Ok((out, RunFlags::default()));
-            }
-            let n = ds.n_samples();
-            let n0 = args.n0.unwrap_or_else(|| 500.min(n / 3).max(8));
-            if 2 * n0 > n {
-                return Err(format!("n0 = {} too large for {} rows", n0, n));
-            }
-            let mut config = ScisConfig::default()
-                .dim(scis_core::dim::DimConfig::default().train(train))
-                .epsilon(args.epsilon)
-                .exec(threads_policy(args.threads));
-            if args.accel {
-                config = config.accel(accel_config(args));
-            }
-            let mut scis = Scis::new(config);
-            if let Some(dir) = &args.checkpoint_dir {
-                scis = scis.checkpoints(CheckpointPolicy::new(dir).every(args.checkpoint_every));
-            }
-            if let Some(secs) = args.deadline_secs {
-                scis = scis.deadline(scis_tensor::RunDeadline::after(
-                    std::time::Duration::from_secs_f64(secs),
-                ));
-            }
-            if let Some(path) = &args.resume {
-                let ckpt = TrainCheckpoint::load(path)
-                    .map_err(|e| format!("loading checkpoint {:?}: {}", path, e))?;
-                eprintln!(
-                    "{}: resuming {} training from epoch {} ({:?})",
-                    prog,
-                    ckpt.phase.name(),
-                    ckpt.epoch,
-                    path
-                );
-                scis = scis.resume_from(ckpt);
-            }
-            scis = scis.heartbeat(heartbeat_hook(args)?);
-            let want_telemetry = args.trace_json.is_some() || args.events.is_some() || args.profile;
-            let tel = if want_telemetry {
-                scis_telemetry::Telemetry::collecting()
-            } else {
-                scis_telemetry::Telemetry::off()
-            };
-            if want_telemetry {
-                scis = scis.telemetry(tel.clone());
-            }
-            let result = scis.try_run(&mut gain, ds, n0, rng);
-            // the event stream is most valuable on failure: flush it before
-            // surfacing any error so the JSONL doubles as a post-mortem
-            if let Some(path) = &args.events {
-                write_events(prog, path, &tel)?;
-            }
-            let outcome = result.map_err(|e| e.to_string())?;
-            if let Some(path) = &args.trace_json {
-                std::fs::write(path, outcome.report.to_json())
-                    .map_err(|e| format!("writing trace {:?}: {}", path, e))?;
-                eprintln!("{}: wrote run report to {:?}", prog, path);
-            }
-            if args.profile {
-                eprint!("{}", outcome.report.render_profile());
-            }
-            eprintln!(
-                "{}: trained on n* = {} of {} rows (R_t = {:.2}%), SSE {:.2}s",
-                prog,
-                outcome.n_star,
-                outcome.n_total,
-                outcome.training_sample_rate() * 100.0,
-                outcome.sse_time.as_secs_f64()
-            );
-            report_anomalies(prog, &outcome.anomalies);
-            if outcome.anomalies.deadline_exceeded {
-                eprintln!(
-                    "{}: run deadline expired; output comes from the best model so far",
-                    prog
-                );
-            }
-            if let Some(path) = &args.save_model {
-                if outcome.anomalies.mean_fallback {
-                    eprintln!(
-                        "{}: not saving a model — training fell back to mean imputation",
-                        prog
-                    );
-                } else {
-                    let bundle = build_bundle(&mut gain, orig, scaler, accel_config(args))?;
-                    bundle
-                        .save(path)
-                        .map_err(|e| format!("saving model: {}", e))?;
-                    eprintln!("{}: saved model bundle to {:?}", prog, path);
-                }
-            }
-            let flags = RunFlags {
-                degraded: outcome.anomalies.is_degraded(),
-                deadline_exceeded: outcome.anomalies.deadline_exceeded,
-            };
-            Ok((outcome.imputed, flags))
-        }
-        "gain" => Ok((GainImputer::new(train).impute(ds, rng), RunFlags::default())),
-        "ginn" => Ok((GinnImputer::new(train).impute(ds, rng), RunFlags::default())),
-        "mice" => Ok((MiceImputer::default().impute(ds, rng), RunFlags::default())),
-        "missforest" => Ok((
-            MissForestImputer::default().impute(ds, rng),
-            RunFlags::default(),
-        )),
-        "knn" => Ok((KnnImputer::default().impute(ds, rng), RunFlags::default())),
-        "mean" => Ok((MeanImputer.impute(ds, rng), RunFlags::default())),
-        "vae" => Ok((
-            VaeImputer {
-                config: train,
-                ..Default::default()
-            }
-            .impute(ds, rng),
-            RunFlags::default(),
-        )),
-        other => Err(format!(
-            "unknown method {:?} (try scis-gain, gain, ginn, mice, missforest, knn, mean, vae)",
-            other
-        )),
     }
+}
+
+/// Runs one of the comparison methods on the normalized dataset.
+fn impute_baseline(
+    method: &str,
+    train: TrainConfig,
+    ds: &Dataset,
+    rng: &mut Rng64,
+) -> Result<Matrix, String> {
+    Ok(match method {
+        "gain" => GainImputer::new(train).impute(ds, rng),
+        "ginn" => GinnImputer::new(train).impute(ds, rng),
+        "mice" => MiceImputer::default().impute(ds, rng),
+        "missforest" => MissForestImputer::default().impute(ds, rng),
+        "knn" => KnnImputer::default().impute(ds, rng),
+        "mean" => MeanImputer.impute(ds, rng),
+        "vae" => VaeImputer {
+            config: train,
+            ..Default::default()
+        }
+        .impute(ds, rng),
+        other => {
+            return Err(format!(
+                "unknown method {:?} (try scis-gain, gain, ginn, mice, missforest, knn, mean, vae)",
+                other
+            ))
+        }
+    })
+}
+
+fn write_err(path: &Path, e: impl std::fmt::Display) -> String {
+    format!("writing {:?}: {}", path, e)
+}
+
+/// The train output: each block of normalized rows goes back to original
+/// units before the csvio writer appends it.
+struct UnscaledCsv<'a> {
+    csv: CsvWriter,
+    scaler: &'a MinMaxScaler,
+    path: &'a Path,
+}
+
+impl<'a> UnscaledCsv<'a> {
+    fn create(path: &'a Path, n_cols: usize, scaler: &'a MinMaxScaler) -> Result<Self, String> {
+        let csv = CsvWriter::create(path, n_cols).map_err(|e| write_err(path, e))?;
+        Ok(Self { csv, scaler, path })
+    }
+
+    /// Writes a whole imputed matrix and closes the file.
+    fn write_all(mut self, imputed: &Matrix) -> Result<(), String> {
+        self.push_rows(imputed)
+            .map_err(|e| write_err(self.path, e))?;
+        self.close()
+    }
+
+    fn close(self) -> Result<(), String> {
+        self.csv.finish().map_err(|e| write_err(self.path, e))
+    }
+}
+
+impl ShardSink for UnscaledCsv<'_> {
+    fn push_rows(&mut self, rows: &Matrix) -> Result<(), ShardError> {
+        self.csv.push_rows(&self.scaler.inverse_transform(rows))
+    }
+}
+
+/// Builds, runs and reports the scis-gain pipeline over `src` — the
+/// normalized dataset in memory, or the scaled spill shards under
+/// `--shard-rows` — writing the imputed rows to the output CSV in original
+/// units as they are produced.
+fn run_pipeline(
+    prog: &str,
+    args: &TrainArgs,
+    src: &dyn RowSource,
+    scaler: &MinMaxScaler,
+    gain: &mut GainImputer,
+) -> Result<StreamOutcome, String> {
+    let n = src.n_rows();
+    let n0 = args.n0.unwrap_or_else(|| 500.min(n / 3).max(8));
+    if 2 * n0 > n {
+        return Err(format!("n0 = {} too large for {} rows", n0, n));
+    }
+    let mut config = ScisConfig::default()
+        .dim(scis_core::dim::DimConfig::default().train(train_config(args)))
+        .epsilon(args.epsilon)
+        .exec(threads_policy(args.threads));
+    if args.accel {
+        config = config.accel(accel_config(args));
+    }
+    let mut scis = Scis::new(config);
+    if let Some(dir) = &args.checkpoint_dir {
+        scis = scis.checkpoints(CheckpointPolicy::new(dir).every(args.checkpoint_every));
+    }
+    if let Some(secs) = args.deadline_secs {
+        scis = scis.deadline(scis_tensor::RunDeadline::after(
+            std::time::Duration::from_secs_f64(secs),
+        ));
+    }
+    if let Some(path) = &args.resume {
+        let ckpt = TrainCheckpoint::load(path)
+            .map_err(|e| format!("loading checkpoint {:?}: {}", path, e))?;
+        eprintln!(
+            "{}: resuming {} training from epoch {} ({:?})",
+            prog,
+            ckpt.phase.name(),
+            ckpt.epoch,
+            path
+        );
+        scis = scis.resume_from(ckpt);
+    }
+    scis = scis.heartbeat(heartbeat_hook(args)?);
+    let want_telemetry = args.trace_json.is_some() || args.events.is_some() || args.profile;
+    let tel = if want_telemetry {
+        scis_telemetry::Telemetry::collecting()
+    } else {
+        scis_telemetry::Telemetry::off()
+    };
+    if want_telemetry {
+        scis = scis.telemetry(tel.clone());
+    }
+
+    let mut sink = UnscaledCsv::create(&args.output, src.n_cols(), scaler)?;
+    let mut rng = Rng64::seed_from_u64(args.seed);
+    let result = scis.try_run_streamed(gain, src, n0, &mut rng, &mut sink);
+    // the event stream is most valuable on failure: flush it before
+    // surfacing any error so the JSONL doubles as a post-mortem
+    if let Some(path) = &args.events {
+        write_events(prog, path, &tel)?;
+    }
+    let outcome = result.map_err(|e| e.to_string())?;
+    sink.close()?;
+    if let Some(path) = &args.trace_json {
+        std::fs::write(path, outcome.report.to_json())
+            .map_err(|e| format!("writing trace {:?}: {}", path, e))?;
+        eprintln!("{}: wrote run report to {:?}", prog, path);
+    }
+    if args.profile {
+        eprint!("{}", outcome.report.render_profile());
+    }
+    eprintln!(
+        "{}: trained on n* = {} of {} rows (R_t = {:.2}%), SSE {:.2}s",
+        prog,
+        outcome.n_star,
+        outcome.n_total,
+        outcome.training_sample_rate() * 100.0,
+        outcome.sse_time.as_secs_f64()
+    );
+    report_anomalies(prog, &outcome.anomalies);
+    if outcome.anomalies.deadline_exceeded {
+        eprintln!(
+            "{}: run deadline expired; output comes from the best model so far",
+            prog
+        );
+    }
+    Ok(outcome)
 }
 
 /// Reads, validates, and annotates the input CSV (shared by train/impute).
@@ -641,37 +657,65 @@ fn load_input(prog: &str, input: &Path, method: &str) -> Result<Dataset, String>
     Ok(ds)
 }
 
-fn run_train(prog: &str, invocation: &str, argv: Vec<String>) -> Result<RunFlags, String> {
+fn run_train(prog: &str, argv: Vec<String>) -> Result<RunFlags, String> {
     let args = parse_train_args(argv).map_err(|e| {
-        format!("{}\nusage: {} INPUT.csv OUTPUT.csv [--method m] [--epsilon e] [--n0 n] [--epochs k] [--threads t] [--seed s] [--accel] [--accel-f32] [--trace-json path] [--events path] [--profile] [--checkpoint-dir dir] [--checkpoint-every n] [--resume path] [--deadline-secs s] [--shard-rows n] [--spill-dir dir] [--progress path|-] [--progress-interval-secs s]", e, invocation)
+        format!("{}\nusage: scis train INPUT.csv OUTPUT.csv [--method m] [--epsilon e] [--n0 n] [--epochs k] [--threads t] [--seed s] [--accel] [--accel-f32] [--trace-json path] [--events path] [--profile] [--checkpoint-dir dir] [--checkpoint-every n] [--resume path] [--deadline-secs s] [--shard-rows n] [--spill-dir dir] [--progress path|-] [--progress-interval-secs s]", e)
     })?;
-    if args.shard_rows.is_some() {
-        return run_train_streamed(prog, &args);
-    }
-    let ds = load_input(prog, &args.input, &args.method)?;
-    // a model *bundle* given to --load-model short-circuits into the
-    // apply-only path (it carries its own scaler and schema)
-    if let Some(path) = &args.load_model {
-        if is_bundle_file(path) {
-            let bundle =
-                ModelBundle::load(path).map_err(|e| format!("loading model bundle: {}", e))?;
-            eprintln!("{}: loaded model bundle from {:?}", prog, path);
-            return apply_bundle(
-                prog,
-                &ds,
-                bundle,
-                threads_policy(args.threads),
-                &args.output,
-            );
+    let flags = if let Some(shard_rows) = args.shard_rows {
+        // out of core: spill the CSV, fit the scaler as a shard fold, and
+        // stream the pipeline over the scaled shards
+        let spill = SpillDir::new(args.spill_dir.clone(), &args.output);
+        let sharded = spill_input(prog, &args.input, &spill.path, shard_rows, &args.method)?;
+        let scaler = MinMaxScaler::fit_source(&sharded).map_err(|e| e.to_string())?;
+        let scaled = ScaledSource::new(&sharded, &scaler);
+        let mut gain = GainImputer::new(train_config(&args));
+        let outcome = run_pipeline(prog, &args, &scaled, &scaler, &mut gain)?;
+        spill.close(prog);
+        RunFlags::from(&outcome.anomalies)
+    } else {
+        let ds = load_input(prog, &args.input, &args.method)?;
+        // a model *bundle* given to --load-model short-circuits into the
+        // apply-only path (it carries its own scaler and schema)
+        if let Some(path) = args.load_model.as_deref().filter(|p| is_bundle_file(p)) {
+            let exec = threads_policy(args.threads);
+            return apply_bundle(prog, &ds, load_bundle(prog, path)?, exec, &args.output);
         }
-    }
-    let (norm, scaler) = MinMaxScaler::fit_transform_dataset(&ds);
-    let mut rng = Rng64::seed_from_u64(args.seed);
-    let (imputed_norm, flags) = impute(prog, &args, &norm, &ds, &scaler, &mut rng)?;
-    let imputed = scaler.inverse_transform(&imputed_norm);
-    let out_ds = Dataset::from_values(imputed);
-    write_dataset(&args.output, &out_ds)
-        .map_err(|e| format!("writing {:?}: {}", args.output, e))?;
+        let (norm, scaler) = MinMaxScaler::fit_transform_dataset(&ds);
+        if args.method != "scis-gain" {
+            let mut rng = Rng64::seed_from_u64(args.seed);
+            let imputed = impute_baseline(&args.method, train_config(&args), &norm, &mut rng)?;
+            UnscaledCsv::create(&args.output, ds.n_features(), &scaler)?.write_all(&imputed)?;
+            RunFlags::default()
+        } else if let Some(path) = &args.load_model {
+            // pre-trained bare generator: skip Algorithm 1, just impute
+            let mut gain = GainImputer::new(train_config(&args));
+            gain.load_generator(path)
+                .map_err(|e| format!("loading model: {}", e))?;
+            eprintln!("{}: loaded generator from {:?}", prog, path);
+            let imputed =
+                scis_imputers::traits::impute_with_generator_chunked(&mut gain, &norm, 65_536);
+            UnscaledCsv::create(&args.output, ds.n_features(), &scaler)?.write_all(&imputed)?;
+            RunFlags::default()
+        } else {
+            let mut gain = GainImputer::new(train_config(&args));
+            let outcome = run_pipeline(prog, &args, &norm, &scaler, &mut gain)?;
+            if let Some(path) = &args.save_model {
+                if outcome.anomalies.mean_fallback {
+                    eprintln!(
+                        "{}: not saving a model — training fell back to mean imputation",
+                        prog
+                    );
+                } else {
+                    let bundle = build_bundle(&mut gain, &ds, &scaler, accel_config(&args))?;
+                    bundle
+                        .save(path)
+                        .map_err(|e| format!("saving model: {}", e))?;
+                    eprintln!("{}: saved model bundle to {:?}", prog, path);
+                }
+            }
+            RunFlags::from(&outcome.anomalies)
+        }
+    };
     eprintln!("{}: wrote {:?}", prog, args.output);
     if flags.degraded {
         eprintln!(
@@ -689,81 +733,8 @@ fn run_train(prog: &str, invocation: &str, argv: Vec<String>) -> Result<RunFlags
 }
 
 // ---------------------------------------------------------------------------
-// train --shard-rows — the out-of-core streamed pipeline
+// --shard-rows — out-of-core input
 // ---------------------------------------------------------------------------
-
-fn shard_io_err(path: &Path, e: std::io::Error) -> ShardError {
-    ShardError::Io {
-        path: path.to_path_buf(),
-        source: e,
-    }
-}
-
-/// A [`ShardSink`] that inverse-transforms each imputed shard back to
-/// original units and appends it to the output CSV — the streamed sibling
-/// of `inverse_transform` + `write_dataset`, byte-for-byte.
-struct CsvSink<'a> {
-    w: std::io::BufWriter<std::fs::File>,
-    scaler: Option<&'a MinMaxScaler>,
-    path: PathBuf,
-}
-
-impl<'a> CsvSink<'a> {
-    /// Creates the output file and writes the `c0,c1,…` header.
-    fn create(
-        path: &Path,
-        n_cols: usize,
-        scaler: Option<&'a MinMaxScaler>,
-    ) -> Result<Self, String> {
-        use std::io::Write as _;
-        let file = std::fs::File::create(path).map_err(|e| format!("writing {:?}: {}", path, e))?;
-        let mut w = std::io::BufWriter::new(file);
-        let header_err = |e| format!("writing {:?}: {}", path, e);
-        for j in 0..n_cols {
-            if j > 0 {
-                write!(w, ",").map_err(header_err)?;
-            }
-            write!(w, "c{}", j).map_err(header_err)?;
-        }
-        writeln!(w).map_err(header_err)?;
-        Ok(Self {
-            w,
-            scaler,
-            path: path.to_path_buf(),
-        })
-    }
-
-    fn finish(mut self) -> Result<(), String> {
-        use std::io::Write as _;
-        self.w
-            .flush()
-            .map_err(|e| format!("writing {:?}: {}", self.path, e))
-    }
-}
-
-impl ShardSink for CsvSink<'_> {
-    fn push_rows(&mut self, rows: &Matrix) -> Result<(), ShardError> {
-        use std::io::Write as _;
-        let out = match self.scaler {
-            Some(s) => s.inverse_transform(rows),
-            None => rows.clone(),
-        };
-        let path = self.path.clone();
-        for i in 0..out.rows() {
-            for j in 0..out.cols() {
-                if j > 0 {
-                    write!(self.w, ",").map_err(|e| shard_io_err(&path, e))?;
-                }
-                let v = out[(i, j)];
-                if !v.is_nan() {
-                    write!(self.w, "{}", v).map_err(|e| shard_io_err(&path, e))?;
-                }
-            }
-            writeln!(self.w).map_err(|e| shard_io_err(&path, e))?;
-        }
-        Ok(())
-    }
-}
 
 /// Streams the input CSV into a checksummed spill directory, then runs the
 /// same validation / kind-inference / summary logging as [`load_input`] —
@@ -822,137 +793,35 @@ fn spill_input(
     Ok(sharded)
 }
 
-/// The spill directory for a run that did not pass `--spill-dir`: derived
-/// from the output path, and deleted again after a successful run.
-fn derived_spill_dir(output: &Path) -> PathBuf {
-    let mut name = output
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "scis-out".into());
-    name.push_str(".spill");
-    output.with_file_name(name)
+/// Where a `--shard-rows` run spills its input: `--spill-dir` when given
+/// (kept afterwards), else a directory derived from the output path
+/// (deleted again after a successful run).
+struct SpillDir {
+    path: PathBuf,
+    keep: bool,
 }
 
-/// `scis train --shard-rows n`: the full SSE pipeline over spill shards.
-/// For the same seed this writes byte-for-byte the CSV the in-memory path
-/// writes; peak memory is bounded by the shard size plus the `n*`-row
-/// training set instead of `N × d`.
-fn run_train_streamed(prog: &str, args: &TrainArgs) -> Result<RunFlags, String> {
-    let shard_rows = args.shard_rows.expect("checked by parse_train_args");
-    let keep_spill = args.spill_dir.is_some();
-    let spill_dir = args
-        .spill_dir
-        .clone()
-        .unwrap_or_else(|| derived_spill_dir(&args.output));
-    let sharded = spill_input(prog, &args.input, &spill_dir, shard_rows, &args.method)?;
-    let n = sharded.n_rows();
-    let d = sharded.n_cols();
-
-    let scaler = MinMaxScaler::fit_source(&sharded).map_err(|e| e.to_string())?;
-    let scaled = ScaledSource::new(&sharded, &scaler);
-
-    let train = TrainConfig {
-        epochs: args.epochs,
-        ..TrainConfig::default()
-    };
-    let n0 = args.n0.unwrap_or_else(|| 500.min(n / 3).max(8));
-    if 2 * n0 > n {
-        return Err(format!("n0 = {} too large for {} rows", n0, n));
-    }
-    let mut config = ScisConfig::default()
-        .dim(scis_core::dim::DimConfig::default().train(train))
-        .epsilon(args.epsilon)
-        .exec(threads_policy(args.threads));
-    if args.accel {
-        config = config.accel(accel_config(args));
-    }
-    let mut scis = Scis::new(config);
-    if let Some(dir) = &args.checkpoint_dir {
-        scis = scis.checkpoints(CheckpointPolicy::new(dir).every(args.checkpoint_every));
-    }
-    if let Some(secs) = args.deadline_secs {
-        scis = scis.deadline(scis_tensor::RunDeadline::after(
-            std::time::Duration::from_secs_f64(secs),
-        ));
-    }
-    if let Some(path) = &args.resume {
-        let ckpt = TrainCheckpoint::load(path)
-            .map_err(|e| format!("loading checkpoint {:?}: {}", path, e))?;
-        eprintln!(
-            "{}: resuming {} training from epoch {} ({:?})",
-            prog,
-            ckpt.phase.name(),
-            ckpt.epoch,
-            path
-        );
-        scis = scis.resume_from(ckpt);
-    }
-    scis = scis.heartbeat(heartbeat_hook(args)?);
-    let want_telemetry = args.trace_json.is_some() || args.events.is_some() || args.profile;
-    let tel = if want_telemetry {
-        scis_telemetry::Telemetry::collecting()
-    } else {
-        scis_telemetry::Telemetry::off()
-    };
-    if want_telemetry {
-        scis = scis.telemetry(tel.clone());
+impl SpillDir {
+    fn new(spill_dir: Option<PathBuf>, output: &Path) -> Self {
+        let keep = spill_dir.is_some();
+        let path = spill_dir.unwrap_or_else(|| {
+            let mut name = output
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+                .unwrap_or_else(|| "scis-out".into());
+            name.push_str(".spill");
+            output.with_file_name(name)
+        });
+        Self { path, keep }
     }
 
-    let mut gain = GainImputer::new(train);
-    let mut rng = Rng64::seed_from_u64(args.seed);
-    let mut sink = CsvSink::create(&args.output, d, Some(&scaler))?;
-    let result = scis.try_run_streamed(&mut gain, &scaled, n0, &mut rng, &mut sink);
-    if let Some(path) = &args.events {
-        write_events(prog, path, &tel)?;
+    fn close(self, prog: &str) {
+        if self.keep {
+            eprintln!("{}: kept spill shards in {:?}", prog, self.path);
+        } else {
+            std::fs::remove_dir_all(&self.path).ok();
+        }
     }
-    let outcome = result.map_err(|e| e.to_string())?;
-    sink.finish()?;
-    if let Some(path) = &args.trace_json {
-        std::fs::write(path, outcome.report.to_json())
-            .map_err(|e| format!("writing trace {:?}: {}", path, e))?;
-        eprintln!("{}: wrote run report to {:?}", prog, path);
-    }
-    if args.profile {
-        eprint!("{}", outcome.report.render_profile());
-    }
-    eprintln!(
-        "{}: trained on n* = {} of {} rows (R_t = {:.2}%), SSE {:.2}s",
-        prog,
-        outcome.n_star,
-        outcome.n_total,
-        outcome.training_sample_rate() * 100.0,
-        outcome.sse_time.as_secs_f64()
-    );
-    report_anomalies(prog, &outcome.anomalies);
-    if outcome.anomalies.deadline_exceeded {
-        eprintln!(
-            "{}: run deadline expired; output comes from the best model so far",
-            prog
-        );
-    }
-    eprintln!("{}: wrote {:?}", prog, args.output);
-    if !keep_spill {
-        std::fs::remove_dir_all(&spill_dir).ok();
-    } else {
-        eprintln!("{}: kept spill shards in {:?}", prog, spill_dir);
-    }
-    let flags = RunFlags {
-        degraded: outcome.anomalies.is_degraded(),
-        deadline_exceeded: outcome.anomalies.deadline_exceeded,
-    };
-    if flags.degraded {
-        eprintln!(
-            "{}: run completed in DEGRADED mode (see recovery notes above)",
-            prog
-        );
-    }
-    if flags.deadline_exceeded {
-        eprintln!(
-            "{}: run completed under an EXPIRED deadline (exit code 3)",
-            prog
-        );
-    }
-    Ok(flags)
 }
 
 // ---------------------------------------------------------------------------
@@ -972,105 +841,49 @@ fn is_bundle_file(path: &Path) -> bool {
     buf[..n].starts_with(b"scis-bundle v1")
 }
 
-/// Fills every missing cell of `ds` through an [`ImputeService`] built on
-/// `bundle` — the same code path the HTTP server runs, chunked so memory
-/// stays bounded on large inputs.
-fn apply_bundle(
-    prog: &str,
-    ds: &Dataset,
-    bundle: ModelBundle,
-    exec: ExecPolicy,
-    output: &Path,
-) -> Result<RunFlags, String> {
-    bundle
-        .validate_width(ds.n_features())
-        .map_err(|e| format!("input does not match the model bundle: {}", e))?;
-    let mut svc = ImputeService::new(bundle, exec, scis_telemetry::Telemetry::off());
-    let n = ds.n_samples();
-    let d = ds.n_features();
-    let mut filled: Vec<Vec<f64>> = Vec::with_capacity(n);
-    let mut degraded = false;
-    const CHUNK: usize = 8192;
-    let mut start = 0;
-    while start < n {
-        let end = (start + CHUNK).min(n);
-        let rows: Vec<ImputeRow> = (start..end)
-            .map(|i| {
-                (0..d)
-                    .map(|j| {
-                        let v = ds.values[(i, j)];
-                        if v.is_nan() {
-                            None
-                        } else {
-                            Some(v)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let result = svc.impute_rows(&rows);
-        degraded |= result.degraded;
-        filled.extend(result.rows);
-        start = end;
-    }
-    let out = Matrix::from_fn(n, d, |i, j| filled[i][j]);
-    write_dataset(output, &Dataset::from_values(out))
-        .map_err(|e| format!("writing {:?}: {}", output, e))?;
-    eprintln!("{}: wrote {:?}", prog, output);
-    if degraded {
-        eprintln!(
-            "{}: run completed in DEGRADED mode (generator output was non-finite; \
-             column means served instead)",
-            prog
-        );
-    }
-    Ok(RunFlags {
-        degraded,
-        deadline_exceeded: false,
-    })
+fn load_bundle(prog: &str, path: &Path) -> Result<ModelBundle, String> {
+    let bundle = ModelBundle::load(path).map_err(|e| format!("loading model bundle: {}", e))?;
+    eprintln!("{}: loaded model bundle from {:?}", prog, path);
+    Ok(bundle)
 }
 
-/// `scis impute --shard-rows n`: applies a model bundle shard by shard,
-/// writing finished rows to the output CSV incrementally.
-fn apply_bundle_streamed(
+/// Fills every missing cell of `src` through an [`ImputeService`] built on
+/// `bundle` — the same code path the HTTP server runs — in slices of at
+/// most 8,192 rows of each shard, appending finished rows to the output CSV
+/// as it goes.
+fn apply_bundle(
     prog: &str,
-    src: &ShardedDataset,
+    src: &dyn RowSource,
     bundle: ModelBundle,
     exec: ExecPolicy,
     output: &Path,
 ) -> Result<RunFlags, String> {
+    const SLICE_ROWS: usize = 8192;
     bundle
         .validate_width(src.n_cols())
         .map_err(|e| format!("input does not match the model bundle: {}", e))?;
     let mut svc = ImputeService::new(bundle, exec, scis_telemetry::Telemetry::off());
-    let d = src.n_cols();
+    let mut csv = CsvWriter::create(output, src.n_cols()).map_err(|e| write_err(output, e))?;
     let mut degraded = false;
-    let mut sink = CsvSink::create(output, d, None)?;
     for k in 0..src.n_shards() {
         let shard = src
             .load_shard(k)
             .map_err(|e| format!("loading shard {}: {}", k, e))?;
-        let rows: Vec<ImputeRow> = (0..shard.n_samples())
-            .map(|i| {
-                (0..d)
-                    .map(|j| {
-                        let v = shard.values[(i, j)];
-                        if v.is_nan() {
-                            None
-                        } else {
-                            Some(v)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let result = svc.impute_rows(&rows);
-        degraded |= result.degraded;
-        let block = Matrix::from_fn(result.rows.len(), d, |i, j| result.rows[i][j]);
-        sink.push_rows(&block)
-            .map_err(|e| format!("writing {:?}: {}", output, e))?;
+        for start in (0..shard.n_samples()).step_by(SLICE_ROWS) {
+            let end = (start + SLICE_ROWS).min(shard.n_samples());
+            let rows: Vec<ImputeRow> = (start..end)
+                .map(|i| {
+                    let row = shard.values.row(i);
+                    row.iter().map(|&v| (!v.is_nan()).then_some(v)).collect()
+                })
+                .collect();
+            let result = svc.impute_rows(&rows);
+            degraded |= result.degraded;
+            let block = Matrix::from_fn(rows.len(), src.n_cols(), |i, j| result.rows[i][j]);
+            csv.write_rows(&block).map_err(|e| write_err(output, e))?;
+        }
     }
-    sink.finish()?;
+    csv.finish().map_err(|e| write_err(output, e))?;
     eprintln!("{}: wrote {:?}", prog, output);
     if degraded {
         eprintln!(
@@ -1134,6 +947,8 @@ fn run_impute(prog: &str, argv: Vec<String>) -> Result<RunFlags, String> {
     if spill_dir.is_some() && shard_rows.is_none() {
         return Err(format!("--spill-dir requires --shard-rows\n{}", USAGE));
     }
+    let exec = threads_policy(threads);
+    const METHOD: &str = "scis-gain (apply-only)";
     if let Some(shard_rows) = shard_rows {
         if !is_bundle_file(&model) {
             return Err(format!(
@@ -1142,42 +957,27 @@ fn run_impute(prog: &str, argv: Vec<String>) -> Result<RunFlags, String> {
                 USAGE
             ));
         }
-        let keep_spill = spill_dir.is_some();
-        let dir = spill_dir.unwrap_or_else(|| derived_spill_dir(&output));
-        let sharded = spill_input(prog, &input, &dir, shard_rows, "scis-gain (apply-only)")?;
-        let bundle =
-            ModelBundle::load(&model).map_err(|e| format!("loading model bundle: {}", e))?;
-        eprintln!("{}: loaded model bundle from {:?}", prog, model);
-        let flags =
-            apply_bundle_streamed(prog, &sharded, bundle, threads_policy(threads), &output)?;
-        if !keep_spill {
-            std::fs::remove_dir_all(&dir).ok();
-        } else {
-            eprintln!("{}: kept spill shards in {:?}", prog, dir);
-        }
+        let spill = SpillDir::new(spill_dir, &output);
+        let sharded = spill_input(prog, &input, &spill.path, shard_rows, METHOD)?;
+        let flags = apply_bundle(prog, &sharded, load_bundle(prog, &model)?, exec, &output)?;
+        spill.close(prog);
         return Ok(flags);
     }
-    let ds = load_input(prog, &input, "scis-gain (apply-only)")?;
+    let ds = load_input(prog, &input, METHOD)?;
     if is_bundle_file(&model) {
-        let bundle =
-            ModelBundle::load(&model).map_err(|e| format!("loading model bundle: {}", e))?;
-        eprintln!("{}: loaded model bundle from {:?}", prog, model);
-        apply_bundle(prog, &ds, bundle, threads_policy(threads), &output)
-    } else {
-        // bare v2 generator file (pre-bundle artifact): old semantics — the
-        // scaler is refitted on the input being imputed
-        let mut gain = GainImputer::new(TrainConfig::default());
-        gain.load_generator(&model)
-            .map_err(|e| format!("loading model: {}", e))?;
-        eprintln!("{}: loaded generator from {:?}", prog, model);
-        let (norm, scaler) = MinMaxScaler::fit_transform_dataset(&ds);
-        let out = scis_imputers::traits::impute_with_generator_chunked(&mut gain, &norm, 65_536);
-        let imputed = scaler.inverse_transform(&out);
-        write_dataset(&output, &Dataset::from_values(imputed))
-            .map_err(|e| format!("writing {:?}: {}", output, e))?;
-        eprintln!("{}: wrote {:?}", prog, output);
-        Ok(RunFlags::default())
+        return apply_bundle(prog, &ds, load_bundle(prog, &model)?, exec, &output);
     }
+    // bare v2 generator file (pre-bundle artifact): old semantics — the
+    // scaler is refitted on the input being imputed
+    let mut gain = GainImputer::new(TrainConfig::default());
+    gain.load_generator(&model)
+        .map_err(|e| format!("loading model: {}", e))?;
+    eprintln!("{}: loaded generator from {:?}", prog, model);
+    let (norm, scaler) = MinMaxScaler::fit_transform_dataset(&ds);
+    let out = scis_imputers::traits::impute_with_generator_chunked(&mut gain, &norm, 65_536);
+    UnscaledCsv::create(&output, ds.n_features(), &scaler)?.write_all(&out)?;
+    eprintln!("{}: wrote {:?}", prog, output);
+    Ok(RunFlags::default())
 }
 
 // ---------------------------------------------------------------------------

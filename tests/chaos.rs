@@ -730,6 +730,181 @@ fn resume_mismatch_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ---------------------------------------------------------------------------
+// degraded branches: in memory ≡ streamed at any shard size
+// ---------------------------------------------------------------------------
+
+/// A GAIN wrapper whose reconstruction comes back NaN in the missing cells
+/// of about every `every`-th row: the rows whose generator-input bits hash
+/// to a multiple of `every`. The choice depends on a row's content only, so
+/// the same dataset rows are poisoned at any shard size.
+struct NanRowsGain {
+    inner: GainImputer,
+    every: u64,
+}
+
+impl NanRowsGain {
+    fn new(train: TrainConfig, every: u64) -> Self {
+        Self {
+            inner: GainImputer::new(train),
+            every,
+        }
+    }
+
+    fn poisons(&self, row: &[f64]) -> bool {
+        let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
+        scis_data::shard::fnv1a(&bytes).is_multiple_of(self.every)
+    }
+}
+
+impl Imputer for NanRowsGain {
+    fn name(&self) -> &'static str {
+        "nan-rows-gain"
+    }
+    fn impute(&mut self, ds: &Dataset, rng: &mut Rng64) -> Matrix {
+        self.inner.impute(ds, rng)
+    }
+}
+
+impl AdversarialImputer for NanRowsGain {
+    fn init_networks(&mut self, n_features: usize, rng: &mut Rng64) {
+        self.inner.init_networks(n_features, rng);
+    }
+    fn is_initialized(&self, n_features: usize) -> bool {
+        self.inner.is_initialized(n_features)
+    }
+    fn generator_mut(&mut self) -> &mut Mlp {
+        self.inner.generator_mut()
+    }
+    fn reconstruct(&mut self, values: &Matrix, mask: &Matrix) -> Matrix {
+        let mut out = self.inner.reconstruct(values, mask);
+        for i in 0..out.rows() {
+            if !self.poisons(values.row(i)) {
+                continue;
+            }
+            for j in 0..out.cols() {
+                if mask[(i, j)] == 0.0 {
+                    out[(i, j)] = f64::NAN;
+                }
+            }
+        }
+        out
+    }
+    fn generator_input(&self, values: &Matrix, mask: &Matrix, rng: &mut Rng64) -> Matrix {
+        self.inner.generator_input(values, mask, rng)
+    }
+    fn train_native(&mut self, ds: &Dataset, rng: &mut Rng64) {
+        self.inner.train_native(ds, rng);
+    }
+}
+
+/// Runs `try_run` on `ds`, then `try_run_streamed` over `ds` re-chunked to
+/// 7 and to 50 rows, each with a fresh imputer and the same seed, and
+/// checks that every run gives the same bits, the same anomaly record and
+/// the same RNG state afterwards. Returns the in-memory outcome.
+fn assert_degraded_run_ignores_sharding<A: AdversarialImputer>(
+    cfg: ScisConfig,
+    ds: &Dataset,
+    n0: usize,
+    seed: u64,
+    mut make: impl FnMut() -> A,
+) -> (scis_core::ScisOutcome, A) {
+    use scis_data::{ChunkedDataset, MemorySink};
+
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut imp = make();
+    let full = Scis::new(cfg)
+        .try_run(&mut imp, ds, n0, &mut rng)
+        .expect("in-memory run");
+    let rng_after = rng.next_u64();
+    for shard_rows in [7, 50] {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut streamed_imp = make();
+        let mut sink = MemorySink::new();
+        let streamed = Scis::new(cfg)
+            .try_run_streamed(
+                &mut streamed_imp,
+                &ChunkedDataset::new(ds, shard_rows),
+                n0,
+                &mut rng,
+                &mut sink,
+            )
+            .expect("streamed run");
+        assert_eq!(
+            streamed.anomalies, full.anomalies,
+            "anomalies differ at {shard_rows}-row shards"
+        );
+        assert_eq!(streamed.n_star, full.n_star);
+        assert_eq!(streamed.rows_written, ds.n_samples());
+        let out = sink.into_matrix();
+        assert_eq!(out.shape(), full.imputed.shape());
+        for (k, (a, b)) in full
+            .imputed
+            .as_slice()
+            .iter()
+            .zip(out.as_slice())
+            .enumerate()
+        {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "flat cell {k} differs at {shard_rows}-row shards: {a} vs {b}"
+            );
+        }
+        assert_eq!(
+            rng.next_u64(),
+            rng_after,
+            "rng state differs at {shard_rows}-row shards"
+        );
+    }
+    (full, imp)
+}
+
+#[test]
+fn mean_fallback_is_identical_across_shard_sizes() {
+    let ds = chaos_dataset(120, 0.2, 8);
+    let cfg = fast_config();
+    let (outcome, _) = assert_degraded_run_ignores_sharding(cfg, &ds, 24, 8, || {
+        PoisonedGain::new(cfg.dim.train, 1)
+    });
+    assert!(outcome.anomalies.mean_fallback, "{:?}", outcome.anomalies);
+    assert!(outcome.imputed.as_slice().iter().all(|v| v.is_finite()));
+}
+
+#[test]
+fn non_finite_patch_is_identical_across_shard_sizes() {
+    let ds = chaos_dataset(120, 0.2, 14);
+    let cfg = fast_config();
+    let (outcome, imp) = assert_degraded_run_ignores_sharding(cfg, &ds, 24, 14, || {
+        NanRowsGain::new(cfg.dim.train, 5)
+    });
+    let a = &outcome.anomalies;
+    assert!(a.non_finite_cells_patched > 0, "{a:?}");
+    assert!(a.is_degraded() && !a.mean_fallback, "{a:?}");
+    // every poisoned missing cell holds its column's observed mean, and
+    // those cells are exactly the ones counted as patched
+    let inputs = ds.values_filled(0.0);
+    let means: Vec<f64> = (0..ds.n_features())
+        .map(|j| scis_tensor::stats::nan_mean(&ds.values.col(j)).unwrap())
+        .collect();
+    let mut patched = 0;
+    for i in (0..ds.n_samples()).filter(|&i| imp.poisons(inputs.row(i))) {
+        for (j, mean) in means.iter().enumerate() {
+            if ds.mask.get(i, j) {
+                continue;
+            }
+            patched += 1;
+            assert_eq!(
+                outcome.imputed[(i, j)].to_bits(),
+                mean.to_bits(),
+                "cell ({i},{j}) was not patched with its column mean"
+            );
+        }
+    }
+    assert_eq!(patched, a.non_finite_cells_patched);
+    assert!(outcome.imputed.as_slice().iter().all(|v| v.is_finite()));
+}
+
 #[test]
 fn clean_run_reports_no_anomalies() {
     let ds = chaos_dataset(120, 0.15, 10);
