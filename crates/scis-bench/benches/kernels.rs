@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use scis_imputers::{AdversarialImputer, GainImputer, GinnImputer, TrainConfig};
 use scis_nn::Adam;
-use scis_ot::{ms_loss_grad, sinkhorn_uniform, SinkhornOptions};
+use scis_ot::{ms_loss_grad, solve, AccelContext, EscalationPolicy, SinkhornOptions, Start};
 use scis_tensor::par::{matmul_exec, pairwise_sq_dists_exec};
 use scis_tensor::{ExecPolicy, Matrix, Rng64};
 
@@ -41,7 +41,13 @@ fn bench_sinkhorn() {
             ..Default::default()
         };
         bench(&format!("sinkhorn_solve/{n}"), 20, || {
-            sinkhorn_uniform(black_box(&cost), &opts)
+            solve(
+                black_box(&cost),
+                None,
+                Start::Cold,
+                &opts,
+                &EscalationPolicy::none(),
+            )
         });
     }
 }
@@ -58,8 +64,9 @@ fn bench_ms_gradient() {
             tol: 1e-7,
             ..Default::default()
         };
+        let (none, ctx) = (EscalationPolicy::none(), AccelContext::plain());
         bench(&format!("ms_loss_grad/{n}x{d}"), 10, || {
-            ms_loss_grad(&xbar, &x, &mask, &opts)
+            ms_loss_grad(&xbar, &x, &mask, &opts, &none, &ctx, None)
         });
     }
 }

@@ -126,7 +126,9 @@ fn read_vec(lines: &mut LineIter<'_>, name: &str) -> Result<Vec<f64>, ModelIoErr
         ["vec", n, count] if *n == name => parse_usize(count, ln)?,
         _ => return Err(format_err(ln, format!("expected `vec {} <count>`", name))),
     };
-    let mut out = Vec::with_capacity(count);
+    // the count is untrusted: the vector grows with the lines actually read,
+    // and a count past the end of the file ends in a typed error
+    let mut out = Vec::new();
     for _ in 0..count {
         let (ln, line) = next_line(lines, "vector entry")?;
         out.push(parse_f64_hex(line.trim(), ln)?);

@@ -26,9 +26,9 @@ use scis_nn::loss::weighted_mse;
 use scis_nn::{Activation, Adam, Mlp, Mode, Optimizer};
 use scis_ot::grad::{cross_ot_grad, self_ot_grad};
 use scis_ot::{
-    masked_sq_cost_decomposed_p, masked_sq_cost_with, ms_loss_grad_accel, ms_loss_grad_tracked,
-    sinkhorn_uniform, sliced_w2_loss_grad, AccelContext, DualCache, MaskedRows, SinkhornOptions,
-    SlicedOptions, SolveStats,
+    masked_sq_cost_decomposed_p, masked_sq_cost_with, ms_loss_grad, sliced_w2_loss_grad, solve,
+    AccelContext, DualCache, EscalationPolicy, MaskedRows, SinkhornOptions, SlicedOptions,
+    SolveStats, Start,
 };
 use scis_telemetry::{Counter, Event, Hist, Series, Telemetry};
 use scis_tensor::par::pairwise_sq_dists_exec;
@@ -98,11 +98,6 @@ impl AccelConfig {
             f32_compute: true,
             ..Self::all()
         }
-    }
-
-    /// Whether any acceleration is active (off → the historical hot path).
-    pub fn any(&self) -> bool {
-        self.warm_start || self.decomposed_cost || self.eps_scale_cold || self.f32_compute
     }
 
     /// Compute precision implied by the flags.
@@ -420,9 +415,10 @@ pub fn train_dim_telemetered(
 
 /// [`train_dim_telemetered`] with an externally owned [`DualCache`], so the
 /// pipeline can hand the warm training-phase cache to the SSE Monte-Carlo
-/// fan-out for read-only reuse afterwards. The cache is invalidated here on
-/// every guard rollback: after the parameters rewind, cached duals describe
-/// a generator state that no longer exists.
+/// fan-out for read-only reuse afterwards. Every Sinkhorn solve goes through
+/// `cache` (pass [`DualCache::off`] for cold solves). The cache is
+/// invalidated here on every guard rollback: after the parameters rewind,
+/// cached duals describe a generator state that no longer exists.
 #[allow(clippy::too_many_arguments)]
 pub fn train_dim_cached(
     imp: &mut dyn AdversarialImputer,
@@ -693,27 +689,16 @@ pub fn train_dim_resumable(
                     let opts = cfg
                         .sinkhorn_options(lambda)
                         .deadline(hooks.deadline.clone());
-                    let result = if cfg.accel.any() {
-                        let ctx = AccelContext {
-                            cache,
-                            rows: chunk,
-                            data_side: data_batch.as_ref(),
-                            decomposed_cost: cfg.accel.decomposed_cost,
-                            eps_scale_cold: cfg.accel.eps_scale_cold,
-                            store: true,
-                        };
-                        ms_loss_grad_accel(
-                            &xbar,
-                            &xb,
-                            &mb,
-                            &opts,
-                            &guard_cfg.sinkhorn_escalation,
-                            &ctx,
-                            Some(cost),
-                        )
-                    } else {
-                        ms_loss_grad_tracked(&xbar, &xb, &mb, &opts, &guard_cfg.sinkhorn_escalation)
+                    let ctx = AccelContext {
+                        cache,
+                        rows: chunk,
+                        data_side: data_batch.as_ref(),
+                        decomposed_cost: cfg.accel.decomposed_cost,
+                        eps_scale_cold: cfg.accel.eps_scale_cold,
+                        store: true,
                     };
+                    let policy = &guard_cfg.sinkhorn_escalation;
+                    let result = ms_loss_grad(&xbar, &xb, &mb, &opts, policy, &ctx, Some(cost));
                     match result {
                         Ok((loss, grad, solve_stats)) => {
                             stats.sinkhorn.absorb(solve_stats);
@@ -962,7 +947,8 @@ pub fn train_dim_resumable(
 /// One critic-mode step: updates φ by ascent on `S_m^φ` and returns the
 /// generator's loss value, the gradient w.r.t. `xbar`, and the λ used.
 /// Returns `None` when the critic's embeddings are non-finite (a diverged
-/// φ must not feed the Sinkhorn solver); the caller skips the batch.
+/// φ must not feed the Sinkhorn solver) or a solve rejects its cost; the
+/// caller skips the batch.
 fn critic_step(
     critic: &mut Critic,
     xbar: &Matrix,
@@ -983,11 +969,16 @@ fn critic_step(
     let cost_ab = pairwise_sq_dists_exec(&ea, &eb, cfg.exec);
     let lambda = cfg.resolve_lambda(&cost_ab);
     let opts = cfg.sinkhorn_options(lambda);
+    let plain = |cost: &Matrix| {
+        solve(cost, None, Start::Cold, &opts, &EscalationPolicy::none())
+            .ok()
+            .map(|(r, _)| r)
+    };
     let cost_aa = pairwise_sq_dists_exec(&ea, &ea, cfg.exec);
     let cost_bb = pairwise_sq_dists_exec(&eb, &eb, cfg.exec);
-    let cross = sinkhorn_uniform(&cost_ab, &opts);
-    let self_a = sinkhorn_uniform(&cost_aa, &opts);
-    let self_b = sinkhorn_uniform(&cost_bb, &opts);
+    let cross = plain(&cost_ab)?;
+    let self_a = plain(&cost_aa)?;
+    let self_b = plain(&cost_bb)?;
     let n = xb.rows() as f64;
     let value = (2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value) / (2.0 * n);
 
@@ -1018,8 +1009,8 @@ fn critic_step(
     }
     let cost2 = pairwise_sq_dists_exec(&ea2, &eb2, cfg.exec);
     let cost2_aa = pairwise_sq_dists_exec(&ea2, &ea2, cfg.exec);
-    let cross2 = sinkhorn_uniform(&cost2, &opts);
-    let self_a2 = sinkhorn_uniform(&cost2_aa, &opts);
+    let cross2 = plain(&cost2)?;
+    let self_a2 = plain(&cost2_aa)?;
     let mut g_ea2 = cross_ot_grad(&ea2, &eb2, &ones_a, &cross2.plan(&cost2)).scale(2.0);
     g_ea2.axpy(-1.0, &self_ot_grad(&ea2, &ones_a, &self_a2.plan(&cost2_aa)));
     let g_ea2 = g_ea2.scale(1.0 / (2.0 * n));
@@ -1217,6 +1208,73 @@ mod tests {
             last_cold,
             last_warm
         );
+    }
+
+    #[test]
+    fn warm_start_cache_matches_cold_training_and_saves_sweeps() {
+        use crate::error::TrainPhase;
+        use crate::guard::{GuardConfig, GuardStats};
+
+        // a low-rank table trained full-batch, so every epoch re-solves the
+        // same rows and warm-starts from the previous epoch's duals
+        let (rows, d) = (60, 6);
+        let mut rng = Rng64::seed_from_u64(21);
+        let complete = Matrix::from_fn(rows, d, |_, j| {
+            let t = rng.uniform();
+            (0.6 * t + 0.2 * (j as f64 / d as f64) + rng.normal_with(0.0, 0.05)).clamp(0.0, 1.0)
+        });
+        let mut rng = Rng64::seed_from_u64(22);
+        let ds = inject_mcar(&complete, 0.25, &mut rng);
+        let train = TrainConfig {
+            epochs: 4,
+            batch_size: rows,
+            learning_rate: 0.005,
+            dropout: 0.0,
+        };
+        // a cap the plain attempts converge within, so the escalation
+        // ladder's cold restarts do not hide the warm starts
+        let cfg = DimConfig::default()
+            .train(train)
+            .exec(ExecPolicy::Serial)
+            .max_sinkhorn_iters(3000);
+        let run = |accel: AccelConfig| {
+            let cfg = cfg.accel(accel);
+            let mut gain = GainImputer::new(cfg.train);
+            let mut stats = GuardStats::default();
+            let tel = Telemetry::collecting();
+            let mut rng = Rng64::seed_from_u64(23);
+            train_dim_telemetered(
+                &mut gain,
+                &ds,
+                &cfg,
+                &GuardConfig::default(),
+                TrainPhase::Initial,
+                &mut stats,
+                &tel,
+                &mut rng,
+            )
+            .expect("training failed");
+            (tel, impute_with_generator(&mut gain, &ds, &mut rng))
+        };
+
+        let (cold_tel, cold_out) = run(AccelConfig::default());
+        let (warm_tel, warm_out) = run(AccelConfig::default().warm_start(true));
+        let cold = cold_tel.counter(Counter::SinkhornIterations);
+        let warm = warm_tel.counter(Counter::SinkhornIterations);
+        assert!(warm <= cold, "warm {warm} vs cold {cold} sweeps");
+        assert!(
+            warm_tel.counter(Counter::WarmStartHits) > 0,
+            "no warm starts"
+        );
+        // warm starts move only the start, so the models agree to within
+        // the solver tolerance, not bit for bit
+        let diff = cold_out
+            .as_slice()
+            .iter()
+            .zip(warm_out.as_slice())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(diff < 1e-6, "imputation max|Δ| {diff:e}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Training heartbeat: a JSONL progress stream for long runs.
 //!
 //! [`HeartbeatHook`] is the observability sibling of
-//! [`RunDeadline`](crate::guard::RunDeadline): a cloneable handle polled
+//! [`RunDeadline`](scis_tensor::RunDeadline): a cloneable handle polled
 //! cooperatively at epoch, batch, and shard boundaries. An `off` hook is a
 //! single `Option` branch on the hot path; an attached hook appends one
 //! JSON line per emission to its writer — machine-tailable progress

@@ -40,8 +40,7 @@
 use scis_data::Dataset;
 use scis_imputers::AdversarialImputer;
 use scis_ot::{
-    ms_loss_grad_accel, ms_loss_grad_tracked, AccelContext, DualCache, EscalationPolicy,
-    MaskedRows, SinkhornOptions,
+    ms_loss_grad, AccelContext, DualCache, EscalationPolicy, MaskedRows, SinkhornOptions,
 };
 use scis_telemetry::{Counter, Event, Series, Telemetry};
 use scis_tensor::{ExecPolicy, Rng64, RunDeadline};
@@ -276,9 +275,9 @@ pub fn fisher_diagonal_tracked(
 /// may warm-start from `cache` (read-only — the Fisher probe operates on
 /// perturbed parameters, so its duals are *not* written back and cannot
 /// pollute the training-epoch entries), and the batch cost matrix may be
-/// built with the decomposed GEMM kernel. With `DualCache::off()` and
-/// default [`crate::dim::AccelConfig`] this is bit-identical to
-/// [`fisher_diagonal_tracked`]'s historical path.
+/// built with the decomposed GEMM kernel. With `DualCache::off()` and the
+/// default [`crate::dim::AccelConfig`] every solve runs cold on the loop
+/// cost kernel, as [`fisher_diagonal_tracked`] does.
 #[allow(clippy::too_many_arguments)]
 pub fn fisher_diagonal_cached(
     imp: &mut dyn AdversarialImputer,
@@ -313,20 +312,16 @@ pub fn fisher_diagonal_cached(
             // a poisoned batch would contaminate the whole diagonal
             continue;
         }
-        let solved = if accel.any() {
-            let data_batch = data_masked.as_ref().map(|d| d.select(chunk));
-            let ctx = AccelContext {
-                cache,
-                rows: chunk,
-                data_side: data_batch.as_ref(),
-                decomposed_cost: accel.decomposed_cost,
-                eps_scale_cold: accel.eps_scale_cold,
-                store: false,
-            };
-            ms_loss_grad_accel(&xbar, &xb, &mb, sinkhorn, policy, &ctx, None)
-        } else {
-            ms_loss_grad_tracked(&xbar, &xb, &mb, sinkhorn, policy)
+        let data_batch = data_masked.as_ref().map(|d| d.select(chunk));
+        let ctx = AccelContext {
+            cache,
+            rows: chunk,
+            data_side: data_batch.as_ref(),
+            decomposed_cost: accel.decomposed_cost,
+            eps_scale_cold: accel.eps_scale_cold,
+            store: false,
         };
+        let solved = ms_loss_grad(&xbar, &xb, &mb, sinkhorn, policy, &ctx, None);
         let (grad_xbar, solve_stats) = match solved {
             Ok((_, grad, stats)) => (grad, stats),
             // a rejected solve (non-finite cost) poisons only this batch

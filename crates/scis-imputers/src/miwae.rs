@@ -1,7 +1,7 @@
 //! MIWAE — missing-data importance-weighted autoencoder (Mattei &
 //! Frellsen, ICML'19), simplified.
 //!
-//! Training uses the observed-cell ELBO of the shared [`VaeCore`] (the full
+//! Training uses the observed-cell ELBO of the shared `VaeCore` (the full
 //! K-sample IWAE gradient is replaced by the ELBO — DESIGN.md §4); the
 //! *imputation* step is MIWAE's defining ingredient and is kept faithful:
 //! self-normalized importance sampling over `K` latent draws,

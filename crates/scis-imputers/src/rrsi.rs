@@ -12,7 +12,7 @@
 
 use crate::traits::{Imputer, TrainConfig};
 use scis_data::Dataset;
-use scis_ot::{ms_loss_grad, SinkhornOptions};
+use scis_ot::{ms_loss_grad, AccelContext, EscalationPolicy, SinkhornOptions};
 use scis_tensor::stats::nan_mean;
 use scis_tensor::{Matrix, Rng64};
 
@@ -107,15 +107,21 @@ impl Imputer for RrsiImputer {
             param_of.insert((i, j), k);
         }
         let ones = Matrix::ones(bs, d);
+        let grad_of = |p: &Matrix, q: &Matrix| {
+            let (ctx, none) = (AccelContext::plain(), EscalationPolicy::none());
+            ms_loss_grad(p, q, &ones, &self.sinkhorn, &none, &ctx, None).map(|(_, g, _)| g)
+        };
 
         for _round in 0..rounds {
             let idx = rng.sample_indices(n, 2 * bs);
             let (ia, ib) = idx.split_at(bs);
             let a = x.select_rows(ia);
             let b = x.select_rows(ib);
-            // S(A,B) gradients w.r.t. both batches (divergence is symmetric)
-            let (_, ga) = ms_loss_grad(&a, &b, &ones, &self.sinkhorn);
-            let (_, gb) = ms_loss_grad(&b, &a, &ones, &self.sinkhorn);
+            // S(A,B) gradients w.r.t. both batches (divergence is symmetric);
+            // a round whose solve rejects its cost is skipped
+            let (Ok(ga), Ok(gb)) = (grad_of(&a, &b), grad_of(&b, &a)) else {
+                continue;
+            };
 
             let mut grads = vec![0.0; missing.len()];
             let mut any = false;

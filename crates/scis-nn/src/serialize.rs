@@ -179,6 +179,20 @@ impl MlpSpec {
     }
 }
 
+/// The parameter count of the network `spec` describes (the dense layers'
+/// weights and biases), or `None` for a network without layers or a count
+/// that overflows `usize`.
+fn spec_param_count(spec: &MlpSpec) -> Option<usize> {
+    let (mut width, mut total) = (spec.in_dim, 0usize);
+    for layer in &spec.layers {
+        if let SpecLayer::Dense { out, .. } = *layer {
+            total = width.checked_add(1)?.checked_mul(out)?.checked_add(total)?;
+            width = out;
+        }
+    }
+    (!spec.layers.is_empty()).then_some(total)
+}
+
 /// Renders an MLP (architecture + parameters) to the v2 text format with a
 /// trailing checksum line — the exact bytes [`save_mlp`] writes. Container
 /// formats (model bundles, checkpoints) embed this string as their
@@ -282,10 +296,12 @@ pub fn mlp_from_str(content: &str) -> Result<(Mlp, MlpSpec), ModelIoError> {
                 });
             }
             ["dropout", p] => {
-                let p: f64 = p.parse().map_err(|_| ModelIoError::Format {
-                    line: ln,
-                    message: "bad dropout p".into(),
-                })?;
+                let p: f64 = p.parse().ok().filter(|p| (0.0..1.0).contains(p)).ok_or(
+                    ModelIoError::Format {
+                        line: ln,
+                        message: "bad dropout p".into(),
+                    },
+                )?;
                 layers.push(SpecLayer::Dropout { p });
             }
             ["params", count] => {
@@ -302,7 +318,9 @@ pub fn mlp_from_str(content: &str) -> Result<(Mlp, MlpSpec), ModelIoError> {
             }
         }
     };
-    let mut params = Vec::with_capacity(n_params);
+    // the count is untrusted: the vector grows with the lines actually read,
+    // and a count past the end of the file ends in a typed error below
+    let mut params = Vec::new();
     for _ in 0..n_params {
         let (ln, line) = next("parameter")?;
         let bits = u64::from_str_radix(line.trim(), 16).map_err(|_| ModelIoError::Format {
@@ -334,18 +352,23 @@ pub fn mlp_from_str(content: &str) -> Result<(Mlp, MlpSpec), ModelIoError> {
     }
 
     let spec = MlpSpec { in_dim, layers };
-    let mut rng = Rng64::seed_from_u64(0); // weights are overwritten below
-    let mut net = spec.build(&mut rng);
-    if net.num_params() != n_params {
+    // checked before the build, so forged layer widths cannot size an
+    // allocation beyond the parameters the file holds
+    let expected = spec_param_count(&spec).ok_or(ModelIoError::Format {
+        line: 0,
+        message: "architecture has no layers or overflows".into(),
+    })?;
+    if expected != n_params {
         return Err(ModelIoError::Format {
             line: 0,
             message: format!(
                 "parameter count {} does not match architecture ({} expected)",
-                n_params,
-                net.num_params()
+                n_params, expected
             ),
         });
     }
+    let mut rng = Rng64::seed_from_u64(0); // weights are overwritten below
+    let mut net = spec.build(&mut rng);
     net.set_param_vector(&params);
     Ok((net, spec))
 }

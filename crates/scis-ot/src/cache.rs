@@ -110,7 +110,7 @@ impl std::fmt::Debug for DualCache {
 
 impl DualCache {
     /// A disabled cache: every operation is a no-op, every lookup misses.
-    pub fn off() -> Self {
+    pub const fn off() -> Self {
         Self(None)
     }
 
@@ -216,12 +216,12 @@ impl DualCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sinkhorn::{sinkhorn_uniform, SinkhornOptions};
+    use crate::sinkhorn::{solve_uniform, SinkhornOptions};
     use scis_tensor::Matrix;
 
     fn solve(n: usize) -> SinkhornResult {
         let cost = Matrix::from_fn(n, n, |i, j| ((i * 3 + j * 5) % 7) as f64);
-        sinkhorn_uniform(
+        solve_uniform(
             &cost,
             &SinkhornOptions {
                 lambda: 1.0,

@@ -9,7 +9,7 @@
 //! lets DIM use it as a GAN loss with usable gradients everywhere.
 
 use crate::cost::{masked_self_cost, masked_sq_cost};
-use crate::sinkhorn::{sinkhorn_uniform, SinkhornOptions, SinkhornResult};
+use crate::sinkhorn::{solve, EscalationPolicy, SinkhornOptions, SinkhornResult, Start};
 use scis_tensor::Matrix;
 
 /// Full decomposition of one MS-divergence evaluation.
@@ -28,7 +28,12 @@ pub struct MsDivergenceValue {
 /// Computes the MS divergence between the reconstructed batch `xbar` and the
 /// observed batch `x`, both masked by the batch mask `mask` (1 = observed).
 ///
-/// All three entropic OT problems are solved with the same `opts`.
+/// All three entropic OT problems are solved cold with the same `opts`, and
+/// without escalation.
+///
+/// # Panics
+/// Panics if the shapes differ or a solve rejects its input (see
+/// [`crate::SinkhornError`]).
 pub fn ms_divergence(
     xbar: &Matrix,
     x: &Matrix,
@@ -50,9 +55,14 @@ pub fn ms_divergence(
     let self_a_cost = masked_self_cost(xbar, mask);
     let self_b_cost = masked_self_cost(x, mask);
 
-    let cross = sinkhorn_uniform(&cross_cost, opts);
-    let self_a = sinkhorn_uniform(&self_a_cost, opts);
-    let self_b = sinkhorn_uniform(&self_b_cost, opts);
+    let plain = |cost: &Matrix| {
+        solve(cost, None, Start::Cold, opts, &EscalationPolicy::none())
+            .unwrap_or_else(|e| panic!("{e}"))
+            .0
+    };
+    let cross = plain(&cross_cost);
+    let self_a = plain(&self_a_cost);
+    let self_b = plain(&self_b_cost);
 
     let value = 2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value;
     MsDivergenceValue {

@@ -17,8 +17,8 @@
 //! against central finite differences of the actual Sinkhorn values.
 //!
 //! The second form needs only each row's mass `Σ_j P_ij` and barycentric sum
-//! `Σ_j P_ij (m_j ⊙ x_j)`, so the `ms_loss_grad*` functions stream `P` row by
-//! row from `(cost, f, g)` — rows in parallel, no `n x m` plan buffer.
+//! `Σ_j P_ij (m_j ⊙ x_j)`, so [`ms_loss_grad`] streams `P` row by row from
+//! `(cost, f, g)` — rows in parallel, no `n x m` plan buffer.
 //! [`cross_ot_grad`] and [`self_ot_grad`] keep the plan-based first form:
 //! the critic path uses them, and tests hold the streamed gradient to them.
 
@@ -27,9 +27,8 @@ use crate::cost::{
     masked_self_cost_with, masked_sq_cost_decomposed_p, masked_sq_cost_with, MaskedRows,
 };
 use crate::sinkhorn::{
-    sinkhorn_uniform, try_sinkhorn_uniform_eps_scaling, try_sinkhorn_uniform_escalated,
-    try_sinkhorn_uniform_warm_escalated, EscalationPolicy, SinkhornError, SinkhornOptions,
-    SinkhornResult, SolveStats, PAR_MIN_CELLS,
+    solve, EscalationPolicy, SinkhornError, SinkhornOptions, SinkhornResult, SolveStats, Start,
+    PAR_MIN_CELLS,
 };
 use scis_tensor::exec::for_row_spans;
 use scis_tensor::{ExecPolicy, Matrix};
@@ -126,133 +125,23 @@ fn streamed_grad(xbar: &Matrix, mask: &Matrix, terms: &[GradTerm<'_>], exec: Exe
     grad
 }
 
-/// Proposition 1's gradient of `L_s = (2·OT(x̄, x) − OT(x̄, x̄) − OT(x, x)) / (2n)`
-/// w.r.t. `x̄` from the cross and generator-self solves (the data-self term
-/// does not depend on `x̄`).
-#[allow(clippy::too_many_arguments)]
-fn ms_grad(
-    xbar: &Matrix,
-    x: &Matrix,
-    mask: &Matrix,
-    cross_cost: &Matrix,
-    cross: &SinkhornResult,
-    self_cost: &Matrix,
-    self_a: &SinkhornResult,
-    exec: ExecPolicy,
-) -> Matrix {
-    let inv_2n = 1.0 / (2.0 * x.rows().max(1) as f64);
-    let (x_m, xbar_m) = (x.hadamard(mask), xbar.hadamard(mask));
-    let terms = [
-        GradTerm {
-            cost: cross_cost,
-            solve: cross,
-            targets: &x_m,
-            weight: 2.0 * inv_2n,
-        },
-        GradTerm {
-            cost: self_cost,
-            solve: self_a,
-            targets: &xbar_m,
-            weight: -2.0 * inv_2n,
-        },
-    ];
-    streamed_grad(xbar, mask, &terms, exec)
-}
-
-/// Computes the MS-divergence imputation loss `L_s = S_m / (2n)` and its
-/// gradient w.r.t. the reconstructed batch `xbar`, in one pass.
-///
-/// Runs three Sinkhorn solves (cross, self-x̄, self-x; the self-x solve only
-/// feeds the value, not the gradient).
-pub fn ms_loss_grad(
-    xbar: &Matrix,
-    x: &Matrix,
-    mask: &Matrix,
-    opts: &SinkhornOptions,
-) -> (f64, Matrix) {
-    assert_eq!(xbar.shape(), x.shape(), "ms_loss_grad: data shape mismatch");
-    assert_eq!(x.shape(), mask.shape(), "ms_loss_grad: mask shape mismatch");
-    let n = x.rows().max(1) as f64;
-
-    let cross_cost = masked_sq_cost_with(xbar, mask, x, mask, opts.exec);
-    let self_a_cost = masked_self_cost_with(xbar, mask, opts.exec);
-    let self_b_cost = masked_self_cost_with(x, mask, opts.exec);
-    let cross = sinkhorn_uniform(&cross_cost, opts);
-    let self_a = sinkhorn_uniform(&self_a_cost, opts);
-    let self_b = sinkhorn_uniform(&self_b_cost, opts);
-
-    let value = 2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value;
-    let loss = value / (2.0 * n);
-    let grad = ms_grad(
-        xbar,
-        x,
-        mask,
-        &cross_cost,
-        &cross,
-        &self_a_cost,
-        &self_a,
-        opts.exec,
-    );
-    (loss, grad)
-}
-
-/// Fault-tolerant variant of [`ms_loss_grad`]: validates every Sinkhorn
-/// input (surfacing poisoned batches as [`SinkhornError`] instead of NaN
-/// propagation or panics) and escalates non-converged solves through
-/// ε-scaling per `policy`, reporting the retry accounting.
-pub fn ms_loss_grad_tracked(
-    xbar: &Matrix,
-    x: &Matrix,
-    mask: &Matrix,
-    opts: &SinkhornOptions,
-    policy: &EscalationPolicy,
-) -> Result<(f64, Matrix, SolveStats), SinkhornError> {
-    assert_eq!(xbar.shape(), x.shape(), "ms_loss_grad: data shape mismatch");
-    assert_eq!(x.shape(), mask.shape(), "ms_loss_grad: mask shape mismatch");
-    let n = x.rows().max(1) as f64;
-    let mut stats = SolveStats::default();
-
-    let cross_cost = masked_sq_cost_with(xbar, mask, x, mask, opts.exec);
-    let self_a_cost = masked_self_cost_with(xbar, mask, opts.exec);
-    let self_b_cost = masked_self_cost_with(x, mask, opts.exec);
-    let (cross, s1) = try_sinkhorn_uniform_escalated(&cross_cost, opts, policy)?;
-    let (self_a, s2) = try_sinkhorn_uniform_escalated(&self_a_cost, opts, policy)?;
-    let (self_b, s3) = try_sinkhorn_uniform_escalated(&self_b_cost, opts, policy)?;
-    stats.absorb(s1);
-    stats.absorb(s2);
-    stats.absorb(s3);
-
-    let value = 2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value;
-    let loss = value / (2.0 * n);
-    let grad = ms_grad(
-        xbar,
-        x,
-        mask,
-        &cross_cost,
-        &cross,
-        &self_a_cost,
-        &self_a,
-        opts.exec,
-    );
-    Ok((loss, grad, stats))
-}
-
-/// Hot-path context for [`ms_loss_grad_accel`]: the shared dual cache, the
-/// dataset row identities of the batch, and the acceleration knobs.
+/// Context for [`ms_loss_grad`]: the shared dual cache, the dataset row
+/// identities of the batch, and the acceleration knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct AccelContext<'a> {
     /// Shared warm-start cache (may be [`DualCache::off`], in which case
-    /// every solve runs cold, exactly as in [`ms_loss_grad_tracked`]).
+    /// every solve runs cold).
     pub cache: &'a DualCache,
     /// Dataset row indices backing this batch, in batch order — the cache
-    /// keys. Must have one entry per batch row.
+    /// keys. Must have one entry per batch row when the cache is enabled.
     pub rows: &'a [usize],
     /// Pre-gathered data-side masked rows (`X ⊙ M` for this batch) when the
     /// caller amortized the masking across epochs; `None` recomputes here.
     /// Only consulted when `decomposed_cost` is set.
     pub data_side: Option<&'a MaskedRows>,
     /// Build costs with the decomposed GEMM kernel
-    /// ([`masked_sq_cost_decomposed`]) instead of the scalar distance loop.
+    /// ([`masked_sq_cost_decomposed_p`]) instead of the scalar distance
+    /// loop.
     pub decomposed_cost: bool,
     /// Anneal *cold* solves through ε-scaling. A cache miss is exactly the
     /// cold-start situation (first epoch, or right after an invalidation),
@@ -261,6 +150,21 @@ pub struct AccelContext<'a> {
     /// Store solved duals back into the cache. The SSE Monte-Carlo fan-out
     /// sets this to `false` and reuses the training-phase cache read-only.
     pub store: bool,
+}
+
+impl AccelContext<'static> {
+    /// No cache, the loop cost kernel and cold starts: the plain path.
+    pub fn plain() -> Self {
+        static OFF: DualCache = DualCache::off();
+        Self {
+            cache: &OFF,
+            rows: &[],
+            data_side: None,
+            decomposed_cost: false,
+            eps_scale_cold: false,
+            store: false,
+        }
+    }
 }
 
 /// One uniform-marginal solve through the cache: warm-start on a full-row
@@ -276,7 +180,7 @@ fn solve_cached(
     if let Some((f0, g0)) = ctx.cache.lookup(kind, ctx.rows, ctx.rows) {
         // a failed warm attempt (stale shape, non-finite entry) degrades to
         // the cold path below instead of aborting the guarded run
-        if let Ok((r, mut s)) = try_sinkhorn_uniform_warm_escalated(cost, f0, g0, opts, policy) {
+        if let Ok((r, mut s)) = solve(cost, None, Start::Warm(f0, g0), opts, policy) {
             if let Some(base) = ctx.cache.cold_baseline(kind) {
                 s.iters_saved = base.saturating_sub(r.iterations);
             }
@@ -286,11 +190,12 @@ fn solve_cached(
             return Ok((r, s));
         }
     }
-    let (r, s) = if ctx.eps_scale_cold {
-        try_sinkhorn_uniform_eps_scaling(cost, opts, policy.base_stages.max(2))?
+    let start = if ctx.eps_scale_cold {
+        Start::Annealed(policy.base_stages.max(2))
     } else {
-        try_sinkhorn_uniform_escalated(cost, opts, policy)?
+        Start::Cold
     };
+    let (r, s) = solve(cost, None, start, opts, policy)?;
     ctx.cache.note_cold_iters(kind, r.iterations);
     if ctx.store {
         ctx.cache.store(kind, ctx.rows, ctx.rows, &r);
@@ -298,19 +203,30 @@ fn solve_cached(
     Ok((r, s))
 }
 
-/// Accelerated [`ms_loss_grad_tracked`]: identical mathematics (same three
-/// solves, same envelope-theorem gradient) with the Sinkhorn hot path
-/// rerouted through the warm-start dual cache and, optionally, the
-/// decomposed GEMM cost kernel.
+/// Computes the MS-divergence imputation loss `L_s = S_m / (2n)` and its
+/// gradient w.r.t. the reconstructed batch `xbar` (Proposition 1), in one
+/// pass, with the solve accounting.
+///
+/// Runs three Sinkhorn solves (cross, self-x̄, self-x; the self-x solve only
+/// feeds the value, not the gradient), each escalated per `policy`. Through
+/// `ctx`, a solve warm-starts from the dual cache on a full-row hit and
+/// otherwise runs cold, annealed when `ctx.eps_scale_cold` is set;
+/// [`AccelContext::plain`] runs every solve cold on the loop cost kernel.
 ///
 /// `cross_cost` lets the caller hand over an already-built cross cost matrix
 /// (DIM builds one anyway to resolve a relative λ) so it is not built twice;
 /// it must match the kernel selected by `ctx.decomposed_cost`.
 ///
-/// Warm starts never change the fixed point — only the start — so results
-/// agree with the cold path within the solver tolerance, and remain
-/// bit-identical across thread counts for a fixed configuration.
-pub fn ms_loss_grad_accel(
+/// A poisoned batch (non-finite cost) is a [`SinkhornError`], never NaN
+/// propagation or a panic. Warm starts never change the fixed point — only
+/// the start — so results agree with the cold path within the solver
+/// tolerance, and remain bit-identical across thread counts for a fixed
+/// configuration.
+///
+/// # Panics
+/// Panics if `xbar`, `x` and `mask` differ in shape, or if an enabled cache
+/// comes with a row-key count other than the batch's.
+pub fn ms_loss_grad(
     xbar: &Matrix,
     x: &Matrix,
     mask: &Matrix,
@@ -321,12 +237,10 @@ pub fn ms_loss_grad_accel(
 ) -> Result<(f64, Matrix, SolveStats), SinkhornError> {
     assert_eq!(xbar.shape(), x.shape(), "ms_loss_grad: data shape mismatch");
     assert_eq!(x.shape(), mask.shape(), "ms_loss_grad: mask shape mismatch");
-    assert_eq!(
-        ctx.rows.len(),
-        x.rows(),
-        "ms_loss_grad_accel: row-key count must match the batch"
+    assert!(
+        !ctx.cache.is_enabled() || ctx.rows.len() == x.rows(),
+        "ms_loss_grad: row-key count must match the batch"
     );
-    let n = x.rows().max(1) as f64;
     let mut stats = SolveStats::default();
 
     let (cross_cost, self_a_cost, self_b_cost) = if ctx.decomposed_cost {
@@ -361,18 +275,28 @@ pub fn ms_loss_grad_accel(
     stats.absorb(s2);
     stats.absorb(s3);
 
+    let n = x.rows().max(1) as f64;
     let value = 2.0 * cross.reg_value - self_a.reg_value - self_b.reg_value;
     let loss = value / (2.0 * n);
-    let grad = ms_grad(
-        xbar,
-        x,
-        mask,
-        &cross_cost,
-        &cross,
-        &self_a_cost,
-        &self_a,
-        opts.exec,
-    );
+    // the data-self term does not depend on x̄, so only the cross and
+    // generator-self plans feed the gradient
+    let inv_2n = 1.0 / (2.0 * n);
+    let (x_m, xbar_m) = (x.hadamard(mask), xbar.hadamard(mask));
+    let terms = [
+        GradTerm {
+            cost: &cross_cost,
+            solve: &cross,
+            targets: &x_m,
+            weight: 2.0 * inv_2n,
+        },
+        GradTerm {
+            cost: &self_a_cost,
+            solve: &self_a,
+            targets: &xbar_m,
+            weight: -2.0 * inv_2n,
+        },
+    ];
+    let grad = streamed_grad(xbar, mask, &terms, opts.exec);
     Ok((loss, grad, stats))
 }
 
@@ -380,6 +304,7 @@ pub fn ms_loss_grad_accel(
 mod tests {
     use super::*;
     use crate::divergence::ms_loss;
+    use crate::sinkhorn::{solve_ab, solve_uniform};
     use scis_tensor::Rng64;
 
     fn opts() -> SinkhornOptions {
@@ -391,6 +316,14 @@ mod tests {
         }
     }
 
+    /// The plain (cold, non-escalating) loss and gradient.
+    fn plain_grad(xbar: &Matrix, x: &Matrix, mask: &Matrix, o: &SinkhornOptions) -> (f64, Matrix) {
+        let none = EscalationPolicy::none();
+        let (loss, grad, _) =
+            ms_loss_grad(xbar, x, mask, o, &none, &AccelContext::plain(), None).unwrap();
+        (loss, grad)
+    }
+
     #[test]
     fn gradient_matches_finite_differences() {
         let mut rng = Rng64::seed_from_u64(11);
@@ -400,7 +333,7 @@ mod tests {
         let xbar = Matrix::from_fn(n, d, |_, _| rng.uniform());
         let mask = Matrix::from_fn(n, d, |_, _| if rng.bernoulli(0.7) { 1.0 } else { 0.0 });
         let o = opts();
-        let (_, grad) = ms_loss_grad(&xbar, &x, &mask, &o);
+        let (_, grad) = plain_grad(&xbar, &x, &mask, &o);
 
         let h = 1e-5;
         for idx in 0..(n * d) {
@@ -457,12 +390,12 @@ mod tests {
             let o = SinkhornOptions::with_lambda(0.1 * cross_cost.mean())
                 .max_iters(20)
                 .exec(ExecPolicy::threads(2));
-            let (_, grad) = ms_loss_grad(&xbar, &x, &mask, &o);
+            let (_, grad) = plain_grad(&xbar, &x, &mask, &o);
 
             // the same (deterministic) solves, differentiated through
             // materialized plans
-            let cross = sinkhorn_uniform(&cross_cost, &o);
-            let self_a = sinkhorn_uniform(&self_cost, &o);
+            let cross = solve_uniform(&cross_cost, &o);
+            let self_a = solve_uniform(&self_cost, &o);
             let mut want = cross_ot_grad(&xbar, &x, &mask, &cross.plan(&cross_cost)).scale(2.0);
             want.axpy(-1.0, &self_ot_grad(&xbar, &mask, &self_a.plan(&self_cost)));
             let want = want.scale(1.0 / (2.0 * n as f64));
@@ -476,7 +409,6 @@ mod tests {
 
     #[test]
     fn streamed_gradient_handles_zero_weight_marginal_entries() {
-        use crate::sinkhorn::try_sinkhorn;
         let n = 128;
         let (x, xbar, mask) = masked_batch(n, 70);
         let cost = masked_sq_cost_with(&xbar, &mask, &x, &mask, ExecPolicy::Serial);
@@ -486,7 +418,7 @@ mod tests {
             raw.iter().map(|v| v / total).collect()
         };
         let o = SinkhornOptions::with_lambda(0.1 * cost.mean()).max_iters(50);
-        let r = try_sinkhorn(&cost, &holey(2), &holey(5), &o).unwrap();
+        let r = solve_ab(&cost, &holey(2), &holey(5), &o).unwrap();
         let x_m = x.hadamard(&mask);
         let term = GradTerm {
             cost: &cost,
@@ -511,7 +443,7 @@ mod tests {
         let x = Matrix::from_fn(5, 2, |_, _| rng.uniform());
         let xbar = Matrix::from_fn(5, 2, |_, _| rng.uniform());
         let mask = Matrix::from_fn(5, 2, |i, j| if (i + j) % 2 == 0 { 1.0 } else { 0.0 });
-        let (_, grad) = ms_loss_grad(&xbar, &x, &mask, &opts());
+        let (_, grad) = plain_grad(&xbar, &x, &mask, &opts());
         for i in 0..5 {
             for j in 0..2 {
                 if mask[(i, j)] == 0.0 {
@@ -526,7 +458,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(13);
         let x = Matrix::from_fn(6, 2, |_, _| rng.uniform());
         let mask = Matrix::ones(6, 2);
-        let (loss, grad) = ms_loss_grad(&x, &x, &mask, &opts());
+        let (loss, grad) = plain_grad(&x, &x, &mask, &opts());
         assert!(loss.abs() < 1e-8);
         // at ν̂ = μ̂ the cross and self plans coincide, so 2g_cross = g_self
         assert!(
@@ -538,8 +470,8 @@ mod tests {
 
     #[test]
     fn accel_off_cache_matches_tracked_exactly() {
-        // with the cache off and the loop kernel, the accel path must be
-        // bit-identical to ms_loss_grad_tracked (same solves, same order)
+        // an off cache with row keys and stores, and the loop kernel, must be
+        // bit-identical to the plain context (same solves, same order)
         let mut rng = Rng64::seed_from_u64(21);
         let n = 8;
         let x = Matrix::from_fn(n, 3, |_, _| rng.uniform());
@@ -547,7 +479,8 @@ mod tests {
         let mask = Matrix::from_fn(n, 3, |_, _| if rng.bernoulli(0.7) { 1.0 } else { 0.0 });
         let o = opts();
         let policy = EscalationPolicy::default();
-        let (l1, g1, s1) = ms_loss_grad_tracked(&xbar, &x, &mask, &o, &policy).unwrap();
+        let (l1, g1, s1) =
+            ms_loss_grad(&xbar, &x, &mask, &o, &policy, &AccelContext::plain(), None).unwrap();
         let rows: Vec<usize> = (0..n).collect();
         let cache = crate::cache::DualCache::off();
         let ctx = AccelContext {
@@ -558,7 +491,7 @@ mod tests {
             eps_scale_cold: false,
             store: true,
         };
-        let (l2, g2, s2) = ms_loss_grad_accel(&xbar, &x, &mask, &o, &policy, &ctx, None).unwrap();
+        let (l2, g2, s2) = ms_loss_grad(&xbar, &x, &mask, &o, &policy, &ctx, None).unwrap();
         assert_eq!(l1.to_bits(), l2.to_bits());
         for (a, b) in g1.as_slice().iter().zip(g2.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -576,7 +509,7 @@ mod tests {
         let o = opts();
         let policy = EscalationPolicy::default();
         let (cold_loss, cold_grad, _) =
-            ms_loss_grad_tracked(&xbar, &x, &mask, &o, &policy).unwrap();
+            ms_loss_grad(&xbar, &x, &mask, &o, &policy, &AccelContext::plain(), None).unwrap();
 
         let rows: Vec<usize> = (0..n).collect();
         let cache = crate::cache::DualCache::enabled();
@@ -589,11 +522,10 @@ mod tests {
             store: true,
         };
         // first pass populates the cache (cold), second warm-starts
-        let (_, _, s_first) =
-            ms_loss_grad_accel(&xbar, &x, &mask, &o, &policy, &ctx, None).unwrap();
+        let (_, _, s_first) = ms_loss_grad(&xbar, &x, &mask, &o, &policy, &ctx, None).unwrap();
         assert_eq!(s_first.warm_starts, 0);
         let (warm_loss, warm_grad, s_warm) =
-            ms_loss_grad_accel(&xbar, &x, &mask, &o, &policy, &ctx, None).unwrap();
+            ms_loss_grad(&xbar, &x, &mask, &o, &policy, &ctx, None).unwrap();
         assert_eq!(s_warm.warm_starts, 3, "all three solves should warm-start");
         assert!(
             s_warm.iterations <= s_first.iterations,
@@ -616,7 +548,8 @@ mod tests {
         let mask = Matrix::from_fn(n, 4, |_, _| if rng.bernoulli(0.6) { 1.0 } else { 0.0 });
         let o = opts();
         let policy = EscalationPolicy::default();
-        let (l_loop, g_loop, _) = ms_loss_grad_tracked(&xbar, &x, &mask, &o, &policy).unwrap();
+        let (l_loop, g_loop, _) =
+            ms_loss_grad(&xbar, &x, &mask, &o, &policy, &AccelContext::plain(), None).unwrap();
         let rows: Vec<usize> = (0..n).collect();
         let cache = crate::cache::DualCache::off();
         let data_side = MaskedRows::new(&x, &mask);
@@ -628,8 +561,7 @@ mod tests {
             eps_scale_cold: false,
             store: false,
         };
-        let (l_dec, g_dec, _) =
-            ms_loss_grad_accel(&xbar, &x, &mask, &o, &policy, &ctx, None).unwrap();
+        let (l_dec, g_dec, _) = ms_loss_grad(&xbar, &x, &mask, &o, &policy, &ctx, None).unwrap();
         assert!((l_loop - l_dec).abs() < 1e-7, "{} vs {}", l_loop, l_dec);
         for (a, b) in g_loop.as_slice().iter().zip(g_dec.as_slice()) {
             assert!((a - b).abs() < 1e-7, "{} vs {}", a, b);
@@ -656,7 +588,7 @@ mod tests {
         };
         let grad_at = |theta: f64| {
             let xt = Matrix::full(n, 1, theta);
-            let (_, g) = ms_loss_grad(&xt, &x0, &mask, &o);
+            let (_, g) = plain_grad(&xt, &x0, &mask, &o);
             g.sum() // total derivative dL/dθ (all coords move together)
         };
         let g1 = grad_at(0.5);

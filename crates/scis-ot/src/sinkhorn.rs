@@ -9,7 +9,7 @@
 //!
 //! The iterations run entirely on dual potentials `(f, g)` with log-sum-exp
 //! reductions, so they are stable for any `λ > 0` — including the λ = 130 the
-//! paper uses on [0,1]-normalized data *and* tiny λ where the kernel
+//! paper uses on `[0,1]`-normalized data *and* tiny λ where the kernel
 //! `exp(−C/λ)` would underflow in the primal domain.
 
 use scis_tensor::exec::for_row_spans;
@@ -187,8 +187,8 @@ impl SinkhornResult {
 /// Structured failure from a fallible Sinkhorn solve.
 ///
 /// Every condition here was previously an `assert!`/`debug_assert!` panic;
-/// [`try_sinkhorn`] surfaces them as values so callers embedded in long
-/// training runs can degrade gracefully instead of aborting the process.
+/// [`solve`] surfaces them as values so callers embedded in long training
+/// runs can degrade gracefully instead of aborting the process.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SinkhornError {
     /// A marginal or potential vector length disagrees with the cost shape.
@@ -420,46 +420,147 @@ fn lse_terms_fast(terms: &mut [f64]) -> f64 {
     max + sum.ln()
 }
 
-/// Runs log-domain Sinkhorn for marginals `a` (len n) and `b` (len m) and
-/// cost matrix `cost` (`n x m`).
+/// Where a [`solve`] starts its dual potentials `(f, g)`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Start {
+    /// From zeros.
+    Cold,
+    /// From the given potentials (lengths `n` and `m`, all finite), e.g. the
+    /// previous epoch's duals from [`crate::DualCache`]. A warm start moves
+    /// only the start, never the fixed point.
+    Warm(Vec<f64>, Vec<f64>),
+    /// ε-scaling from zeros over this many stages (at least one): a
+    /// geometric sequence of regularization levels `λ_0 > λ_1 > … > λ`, each
+    /// stage warm-started from the last. For small target λ this converges in
+    /// a small fraction of the sweeps a cold start needs — the classic trick
+    /// from Schmitzer (2019); only the final stage's fixed point and sweeps
+    /// are reported.
+    Annealed(usize),
+}
+
+/// Log-domain Sinkhorn for the entropic problem of Definition 3 over `cost`
+/// (`n x m`) — the one solver behind DIM, SSE, RRSI and the critic.
+///
+/// * `marginals` — `(a, b)`, or `None` for uniform `1/n` and `1/m` (the
+///   empirical-measure setting `Γ_{n,n}` of Definition 2);
+/// * `start` — see [`Start`];
+/// * `policy` — while a cold or warm first attempt misses the marginal
+///   tolerance, re-solve annealed with a growing stage count and sweep
+///   budget ([`EscalationPolicy`]). An annealed first attempt is final, and
+///   [`EscalationPolicy::none`] gives a plain solve.
+///
+/// Inputs are checked before any sweep, in this order: marginal lengths, λ,
+/// the marginals, the cost's finiteness, then a warm start's potential
+/// lengths and finiteness. The first defect is returned as a
+/// [`SinkhornError`]. The [`SolveStats`] count one solve.
 ///
 /// ```
-/// use scis_ot::{sinkhorn, SinkhornOptions};
+/// use scis_ot::{solve, EscalationPolicy, SinkhornOptions, Start};
 /// use scis_tensor::Matrix;
 ///
 /// let cost = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-/// let r = sinkhorn(&cost, &[0.5, 0.5], &[0.5, 0.5],
-///                  &SinkhornOptions::default().lambda(0.05).max_iters(1000));
-/// assert!(r.converged);
+/// let opts = SinkhornOptions::default().lambda(0.05).max_iters(1000);
+/// let (r, stats) = solve(&cost, None, Start::Cold, &opts, &EscalationPolicy::none()).unwrap();
+/// assert!(r.converged && stats.is_clean());
 /// // identity matching is free -> transport cost near zero
 /// assert!(r.transport_cost < 1e-3);
 /// ```
 ///
 /// # Panics
-/// Panics on dimension mismatch, non-positive λ, or weights that do not
-/// form probability vectors (up to 1e-6). Use [`try_sinkhorn`] for a
-/// fallible variant that reports these as [`SinkhornError`] values.
-pub fn sinkhorn(cost: &Matrix, a: &[f64], b: &[f64], opts: &SinkhornOptions) -> SinkhornResult {
-    try_sinkhorn(cost, a, b, opts).unwrap_or_else(|e| panic!("{}", e))
+/// Panics on `Start::Annealed(0)`.
+pub fn solve(
+    cost: &Matrix,
+    marginals: Option<(&[f64], &[f64])>,
+    start: Start,
+    opts: &SinkhornOptions,
+    policy: &EscalationPolicy,
+) -> Result<(SinkhornResult, SolveStats), SinkhornError> {
+    let (n, m) = cost.shape();
+    let uniform;
+    let (a, b) = match marginals {
+        Some(ab) => ab,
+        None => {
+            uniform = (vec![1.0 / n as f64; n], vec![1.0 / m as f64; m]);
+            (uniform.0.as_slice(), uniform.1.as_slice())
+        }
+    };
+    validate_inputs(cost, a, b, opts)?;
+    let mut stats = SolveStats {
+        solves: 1,
+        ..SolveStats::default()
+    };
+    let mut attempts = policy.max_attempts;
+    let mut result = match start {
+        Start::Cold => sinkhorn_impl(cost, a, b, vec![0.0; n], vec![0.0; m], opts),
+        Start::Warm(f0, g0) => {
+            validate_potentials(&f0, &g0, n, m)?;
+            stats.warm_starts = 1;
+            sinkhorn_impl(cost, a, b, f0, g0, opts)
+        }
+        Start::Annealed(stages) => {
+            attempts = 0;
+            anneal(cost, a, b, opts, stages)
+        }
+    };
+    stats.iterations = result.iterations;
+    let mut stages = policy.base_stages.max(2);
+    let growth = policy.iter_growth.max(1);
+    let mut budget = opts.max_iters;
+    for _ in 0..attempts {
+        if result.converged {
+            break;
+        }
+        stats.escalations += 1;
+        budget = budget.saturating_mul(growth);
+        let esc_opts = SinkhornOptions {
+            max_iters: budget,
+            ..opts.clone()
+        };
+        result = anneal(cost, a, b, &esc_opts, stages);
+        stats.iterations += result.iterations;
+        stages *= 2;
+    }
+    if result.converged {
+        stats.converged = 1;
+    } else {
+        stats.unconverged = 1;
+    }
+    stats.note_solve_iters(stats.iterations);
+    Ok((result, stats))
 }
 
-/// Fallible Sinkhorn solve: validates the cost matrix, marginals, and λ up
-/// front and returns a structured [`SinkhornError`] instead of panicking.
-pub fn try_sinkhorn(
+/// A plain cold solve with uniform marginals, without the accounting.
+pub fn try_sinkhorn_uniform(
     cost: &Matrix,
-    a: &[f64],
-    b: &[f64],
     opts: &SinkhornOptions,
 ) -> Result<SinkhornResult, SinkhornError> {
-    validate_inputs(cost, a, b, opts)?;
-    Ok(sinkhorn_impl(
-        cost,
-        a,
-        b,
-        vec![0.0; a.len()],
-        vec![0.0; b.len()],
-        opts,
-    ))
+    solve(cost, None, Start::Cold, opts, &EscalationPolicy::none()).map(|(r, _)| r)
+}
+
+/// Checks warm-start potentials against the cost shape, so a stale dual
+/// cache entry degrades to a cold solve instead of a panic.
+fn validate_potentials(f0: &[f64], g0: &[f64], n: usize, m: usize) -> Result<(), SinkhornError> {
+    if f0.len() != n {
+        return Err(SinkhornError::DimensionMismatch {
+            what: "f potential",
+            got: f0.len(),
+            expected: n,
+        });
+    }
+    if g0.len() != m {
+        return Err(SinkhornError::DimensionMismatch {
+            what: "g potential",
+            got: g0.len(),
+            expected: m,
+        });
+    }
+    if f0.iter().chain(g0).any(|v| !v.is_finite()) {
+        return Err(SinkhornError::BadMarginal {
+            side: "warm-start potentials",
+            reason: "non-finite entry",
+        });
+    }
+    Ok(())
 }
 
 fn sinkhorn_impl(
@@ -723,114 +824,9 @@ fn sinkhorn_impl(
     result
 }
 
-/// Sinkhorn with uniform marginals `a = b = 1/n` — the empirical-measure
-/// setting of the paper (`Γ_{n,n}` in Definition 2).
-pub fn sinkhorn_uniform(cost: &Matrix, opts: &SinkhornOptions) -> SinkhornResult {
-    let (n, m) = cost.shape();
-    let a = vec![1.0 / n as f64; n];
-    let b = vec![1.0 / m as f64; m];
-    sinkhorn(cost, &a, &b, opts)
-}
-
-/// Fallible uniform-marginal solve — see [`try_sinkhorn`].
-pub fn try_sinkhorn_uniform(
-    cost: &Matrix,
-    opts: &SinkhornOptions,
-) -> Result<SinkhornResult, SinkhornError> {
-    let (n, m) = cost.shape();
-    let a = vec![1.0 / n.max(1) as f64; n];
-    let b = vec![1.0 / m.max(1) as f64; m];
-    try_sinkhorn(cost, &a, &b, opts)
-}
-
-/// Log-domain Sinkhorn continued from given dual potentials (warm start).
-/// Identical to [`sinkhorn`] except for the initialization of `(f, g)`.
-///
-/// # Panics
-/// Panics on invalid inputs or mis-sized potentials; use
-/// [`try_sinkhorn_warm`] for the fallible variant the dual cache relies on.
-pub fn sinkhorn_warm(
-    cost: &Matrix,
-    a: &[f64],
-    b: &[f64],
-    f0: Vec<f64>,
-    g0: Vec<f64>,
-    opts: &SinkhornOptions,
-) -> SinkhornResult {
-    try_sinkhorn_warm(cost, a, b, f0, g0, opts).unwrap_or_else(|e| panic!("{}", e))
-}
-
-/// Fallible warm-started solve: validates inputs *and* the initial potential
-/// lengths, returning [`SinkhornError::DimensionMismatch`] instead of
-/// panicking. This lets the dual cache degrade to a cold solve when a stale
-/// entry no longer matches the batch shape, rather than aborting a guarded
-/// training run.
-pub fn try_sinkhorn_warm(
-    cost: &Matrix,
-    a: &[f64],
-    b: &[f64],
-    f0: Vec<f64>,
-    g0: Vec<f64>,
-    opts: &SinkhornOptions,
-) -> Result<SinkhornResult, SinkhornError> {
-    validate_inputs(cost, a, b, opts)?;
-    if f0.len() != a.len() {
-        return Err(SinkhornError::DimensionMismatch {
-            what: "f potential",
-            got: f0.len(),
-            expected: a.len(),
-        });
-    }
-    if g0.len() != b.len() {
-        return Err(SinkhornError::DimensionMismatch {
-            what: "g potential",
-            got: g0.len(),
-            expected: b.len(),
-        });
-    }
-    for &v in f0.iter().chain(g0.iter()) {
-        if !v.is_finite() {
-            return Err(SinkhornError::BadMarginal {
-                side: "warm-start potentials",
-                reason: "non-finite entry",
-            });
-        }
-    }
-    Ok(sinkhorn_impl(cost, a, b, f0, g0, opts))
-}
-
-/// ε-scaling (annealed) Sinkhorn: solves a geometric sequence of
-/// regularization levels `λ_0 > λ_1 > … > λ`, warm-starting the dual
-/// potentials at each stage. For small target λ this converges in a small
-/// fraction of the iterations cold-start Sinkhorn needs — the classic
-/// trick from Schmitzer (2019); exactness is unchanged because only the
-/// final stage's fixed point is reported.
-pub fn sinkhorn_eps_scaling(
-    cost: &Matrix,
-    a: &[f64],
-    b: &[f64],
-    opts: &SinkhornOptions,
-    n_stages: usize,
-) -> SinkhornResult {
-    if let Err(e) = validate_inputs(cost, a, b, opts) {
-        panic!("{}", e);
-    }
-    eps_scaling_impl(cost, a, b, opts, n_stages)
-}
-
-/// Fallible ε-scaling solve — see [`sinkhorn_eps_scaling`].
-pub fn try_sinkhorn_eps_scaling(
-    cost: &Matrix,
-    a: &[f64],
-    b: &[f64],
-    opts: &SinkhornOptions,
-    n_stages: usize,
-) -> Result<SinkhornResult, SinkhornError> {
-    validate_inputs(cost, a, b, opts)?;
-    Ok(eps_scaling_impl(cost, a, b, opts, n_stages))
-}
-
-fn eps_scaling_impl(
+/// The [`Start::Annealed`] ladder: a solve per stage, each warm-started from
+/// the last, reporting the final stage.
+fn anneal(
     cost: &Matrix,
     a: &[f64],
     b: &[f64],
@@ -839,64 +835,34 @@ fn eps_scaling_impl(
 ) -> SinkhornResult {
     assert!(
         n_stages >= 1,
-        "sinkhorn_eps_scaling: need at least one stage"
+        "sinkhorn: annealing needs at least one stage"
     );
-    let max_cost = cost.max().max(opts.lambda);
     // start near the cost scale (plans ~ product measure, trivially solved)
-    let lambda_start = max_cost.max(opts.lambda);
+    let lambda_start = cost.max().max(opts.lambda);
     let ratio = if n_stages > 1 {
         (opts.lambda / lambda_start).powf(1.0 / (n_stages - 1) as f64)
     } else {
         1.0
     };
-    let mut f = vec![0.0; a.len()];
-    let mut g = vec![0.0; b.len()];
+    let (mut f, mut g) = (vec![0.0; a.len()], vec![0.0; b.len()]);
     let mut lambda = lambda_start;
-    let mut result = None;
-    for stage in 0..n_stages {
-        if stage + 1 == n_stages {
-            lambda = opts.lambda;
-        }
+    for _ in 1..n_stages {
+        // intermediate stages only need rough potentials
         let stage_opts = SinkhornOptions {
             lambda,
-            // intermediate stages only need rough potentials
-            max_iters: if stage + 1 == n_stages {
-                opts.max_iters
-            } else {
-                opts.max_iters / 4 + 1
-            },
-            tol: if stage + 1 == n_stages {
-                opts.tol
-            } else {
-                opts.tol * 100.0
-            },
-            exec: opts.exec,
-            deadline: opts.deadline.clone(),
-            precision: opts.precision,
+            max_iters: opts.max_iters / 4 + 1,
+            tol: opts.tol * 100.0,
+            ..opts.clone()
         };
         let r = sinkhorn_impl(cost, a, b, f, g, &stage_opts);
-        f = r.f.clone();
-        g = r.g.clone();
-        result = Some(r);
+        (f, g) = (r.f, r.g);
         lambda *= ratio;
     }
-    result.expect("at least one stage ran")
-}
-
-/// Uniform-marginal convenience wrapper for [`sinkhorn_eps_scaling`].
-pub fn sinkhorn_eps_scaling_uniform(
-    cost: &Matrix,
-    opts: &SinkhornOptions,
-    n_stages: usize,
-) -> SinkhornResult {
-    let (n, m) = cost.shape();
-    let a = vec![1.0 / n as f64; n];
-    let b = vec![1.0 / m as f64; m];
-    sinkhorn_eps_scaling(cost, &a, &b, opts, n_stages)
+    sinkhorn_impl(cost, a, b, f, g, opts)
 }
 
 /// Retry policy when a plain solve fails to reach the marginal tolerance:
-/// each escalation attempt re-solves with [`sinkhorn_eps_scaling`], doubling
+/// each escalation attempt re-solves with [`Start::Annealed`], doubling
 /// the number of annealing stages (starting from `base_stages`) and growing
 /// the iteration budget by `iter_growth` per attempt. Annealing alone cannot
 /// rescue an iteration-starved solve — each stage reuses the caller's
@@ -933,15 +899,15 @@ impl EscalationPolicy {
     }
 }
 
-/// Per-solve accounting of the escalating Sinkhorn entry points, merged
-/// upward into the pipeline's anomaly record and telemetry counters.
+/// Per-solve accounting of [`solve`], merged upward into the pipeline's
+/// anomaly record and telemetry counters.
 ///
 /// `solves`, `iterations` and `converged` track *all* tracked solves (the
 /// value-flow channel of the telemetry layer); `escalations` and
 /// `unconverged` keep their original meaning as recovery events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Solves attempted through the escalating entry points.
+    /// Solves attempted.
     pub solves: usize,
     /// Total Sinkhorn sweep iterations, summed over every attempt of every
     /// solve (ε-scaling attempts report their final stage's sweeps).
@@ -1011,147 +977,32 @@ impl SolveStats {
     }
 }
 
-/// Sinkhorn with non-convergence escalation: runs a plain solve, then —
-/// while the marginal tolerance is unmet and attempts remain — re-solves
-/// with ε-scaling at a growing stage count. Returns the best result plus
-/// the retry accounting; never panics on bad inputs.
-pub fn try_sinkhorn_escalated(
+/// A plain cold solve with uniform marginals that panics on bad input — the
+/// unit tests' shorthand.
+#[cfg(test)]
+pub(crate) fn solve_uniform(cost: &Matrix, opts: &SinkhornOptions) -> SinkhornResult {
+    solve(cost, None, Start::Cold, opts, &EscalationPolicy::none())
+        .unwrap()
+        .0
+}
+
+/// A plain cold solve over the marginals `(a, b)` — the unit tests'
+/// shorthand.
+#[cfg(test)]
+pub(crate) fn solve_ab(
     cost: &Matrix,
     a: &[f64],
     b: &[f64],
     opts: &SinkhornOptions,
-    policy: &EscalationPolicy,
-) -> Result<(SinkhornResult, SolveStats), SinkhornError> {
-    validate_inputs(cost, a, b, opts)?;
-    let mut stats = SolveStats {
-        solves: 1,
-        ..SolveStats::default()
-    };
-    let mut result = sinkhorn_impl(cost, a, b, vec![0.0; a.len()], vec![0.0; b.len()], opts);
-    stats.iterations += result.iterations;
-    let mut stages = policy.base_stages.max(2);
-    let growth = policy.iter_growth.max(1);
-    let mut budget = opts.max_iters;
-    for _ in 0..policy.max_attempts {
-        if result.converged {
-            break;
-        }
-        stats.escalations += 1;
-        budget = budget.saturating_mul(growth);
-        let esc_opts = SinkhornOptions {
-            max_iters: budget,
-            ..opts.clone()
-        };
-        result = eps_scaling_impl(cost, a, b, &esc_opts, stages);
-        stats.iterations += result.iterations;
-        stages *= 2;
-    }
-    if result.converged {
-        stats.converged += 1;
-    } else {
-        stats.unconverged += 1;
-    }
-    stats.note_solve_iters(stats.iterations);
-    Ok((result, stats))
-}
-
-/// Uniform-marginal convenience wrapper for [`try_sinkhorn_escalated`].
-pub fn try_sinkhorn_uniform_escalated(
-    cost: &Matrix,
-    opts: &SinkhornOptions,
-    policy: &EscalationPolicy,
-) -> Result<(SinkhornResult, SolveStats), SinkhornError> {
-    let (n, m) = cost.shape();
-    let a = vec![1.0 / n.max(1) as f64; n];
-    let b = vec![1.0 / m.max(1) as f64; m];
-    try_sinkhorn_escalated(cost, &a, &b, opts, policy)
-}
-
-/// Warm-started variant of [`try_sinkhorn_escalated`]: the first attempt
-/// starts from the supplied `(f0, g0)` potentials (stats record one
-/// `warm_starts`); escalation retries — if the warm attempt misses the
-/// tolerance — fall back to the cold ε-scaling ladder, exactly as in the
-/// cold entry point. Returns a structured error (never panics) on mis-sized
-/// or non-finite potentials so the cache layer can degrade to a cold solve.
-pub fn try_sinkhorn_warm_escalated(
-    cost: &Matrix,
-    a: &[f64],
-    b: &[f64],
-    f0: Vec<f64>,
-    g0: Vec<f64>,
-    opts: &SinkhornOptions,
-    policy: &EscalationPolicy,
-) -> Result<(SinkhornResult, SolveStats), SinkhornError> {
-    let mut result = try_sinkhorn_warm(cost, a, b, f0, g0, opts)?;
-    let mut stats = SolveStats {
-        solves: 1,
-        warm_starts: 1,
-        iterations: result.iterations,
-        ..SolveStats::default()
-    };
-    let mut stages = policy.base_stages.max(2);
-    let growth = policy.iter_growth.max(1);
-    let mut budget = opts.max_iters;
-    for _ in 0..policy.max_attempts {
-        if result.converged {
-            break;
-        }
-        stats.escalations += 1;
-        budget = budget.saturating_mul(growth);
-        let esc_opts = SinkhornOptions {
-            max_iters: budget,
-            ..opts.clone()
-        };
-        result = eps_scaling_impl(cost, a, b, &esc_opts, stages);
-        stats.iterations += result.iterations;
-        stages *= 2;
-    }
-    if result.converged {
-        stats.converged += 1;
-    } else {
-        stats.unconverged += 1;
-    }
-    stats.note_solve_iters(stats.iterations);
-    Ok((result, stats))
-}
-
-/// Uniform-marginal convenience wrapper for [`try_sinkhorn_warm_escalated`].
-pub fn try_sinkhorn_uniform_warm_escalated(
-    cost: &Matrix,
-    f0: Vec<f64>,
-    g0: Vec<f64>,
-    opts: &SinkhornOptions,
-    policy: &EscalationPolicy,
-) -> Result<(SinkhornResult, SolveStats), SinkhornError> {
-    let (n, m) = cost.shape();
-    let a = vec![1.0 / n.max(1) as f64; n];
-    let b = vec![1.0 / m.max(1) as f64; m];
-    try_sinkhorn_warm_escalated(cost, &a, &b, f0, g0, opts, policy)
-}
-
-/// Uniform-marginal ε-scaling solve with [`SolveStats`] accounting — the
-/// cold-start path the accelerated layer uses for a batch's *first* solve
-/// when ε-scaling of cold solves is enabled. The reported iteration count is
-/// the final stage's sweeps (the comparable-budget number), matching how
-/// escalated solves report.
-pub fn try_sinkhorn_uniform_eps_scaling(
-    cost: &Matrix,
-    opts: &SinkhornOptions,
-    n_stages: usize,
-) -> Result<(SinkhornResult, SolveStats), SinkhornError> {
-    let (n, m) = cost.shape();
-    let a = vec![1.0 / n.max(1) as f64; n];
-    let b = vec![1.0 / m.max(1) as f64; m];
-    let result = try_sinkhorn_eps_scaling(cost, &a, &b, opts, n_stages)?;
-    let mut stats = SolveStats {
-        solves: 1,
-        iterations: result.iterations,
-        converged: result.converged as usize,
-        unconverged: (!result.converged) as usize,
-        ..SolveStats::default()
-    };
-    stats.note_solve_iters(stats.iterations);
-    Ok((result, stats))
+) -> Result<SinkhornResult, SinkhornError> {
+    solve(
+        cost,
+        Some((a, b)),
+        Start::Cold,
+        opts,
+        &EscalationPolicy::none(),
+    )
+    .map(|(r, _)| r)
 }
 
 #[cfg(test)]
@@ -1205,7 +1056,7 @@ mod tests {
     #[test]
     fn plan_satisfies_marginals() {
         let c = toy_cost();
-        let r = sinkhorn_uniform(
+        let r = solve_uniform(
             &c,
             &SinkhornOptions {
                 lambda: 0.1,
@@ -1232,7 +1083,7 @@ mod tests {
     fn small_lambda_approaches_unregularized_ot() {
         // cost with a perfect matching of cost 0 on the diagonal
         let c = toy_cost();
-        let r = sinkhorn_uniform(
+        let r = solve_uniform(
             &c,
             &SinkhornOptions {
                 lambda: 0.005,
@@ -1253,7 +1104,7 @@ mod tests {
     #[test]
     fn large_lambda_spreads_the_plan_to_product_measure() {
         let c = toy_cost();
-        let r = sinkhorn_uniform(&c, &SinkhornOptions::with_lambda(1e4));
+        let r = solve_uniform(&c, &SinkhornOptions::with_lambda(1e4));
         for p in r.plan(&c).as_slice() {
             assert!((p - 1.0 / 9.0).abs() < 1e-3, "plan entry {}", p);
         }
@@ -1264,7 +1115,7 @@ mod tests {
         let c = Matrix::from_rows(&[&[0.0, 2.0], &[2.0, 0.0]]);
         let a = [0.7, 0.3];
         let b = [0.4, 0.6];
-        let r = sinkhorn(&c, &a, &b, &SinkhornOptions::with_lambda(0.05));
+        let r = solve_ab(&c, &a, &b, &SinkhornOptions::with_lambda(0.05)).unwrap();
         let plan = r.plan(&c);
         let rows = plan.row_sums();
         let cols = plan.col_sums();
@@ -1277,7 +1128,7 @@ mod tests {
     #[test]
     fn rectangular_problems_supported() {
         let c = Matrix::from_fn(4, 7, |i, j| ((i as f64) - (j as f64) * 0.5).powi(2));
-        let r = sinkhorn_uniform(&c, &SinkhornOptions::with_lambda(0.2));
+        let r = solve_uniform(&c, &SinkhornOptions::with_lambda(0.2));
         assert!(r.converged);
         let plan = r.plan(&c);
         assert_eq!(plan.shape(), (4, 7));
@@ -1293,7 +1144,7 @@ mod tests {
     fn stable_under_paper_scale_lambda() {
         // λ = 130 (the paper's setting) with [0,1]-normalized data costs
         let c = Matrix::from_fn(16, 16, |i, j| ((i as f64 - j as f64) / 16.0).powi(2));
-        let r = sinkhorn_uniform(&c, &SinkhornOptions::default());
+        let r = solve_uniform(&c, &SinkhornOptions::default());
         assert!(r.converged);
         assert!(r.transport_cost.is_finite());
         assert!(r.reg_value.is_finite());
@@ -1303,7 +1154,7 @@ mod tests {
     fn stable_under_tiny_lambda_large_costs() {
         // would underflow e^{-C/λ} in the primal domain: C up to 1e4, λ=1e-3
         let c = Matrix::from_fn(5, 5, |i, j| (i as f64 - j as f64).powi(2) * 400.0);
-        let r = sinkhorn_uniform(
+        let r = solve_uniform(
             &c,
             &SinkhornOptions {
                 lambda: 1e-3,
@@ -1321,14 +1172,14 @@ mod tests {
     #[test]
     fn identical_points_give_zero_cost() {
         let c = Matrix::zeros(4, 4);
-        let r = sinkhorn_uniform(&c, &SinkhornOptions::with_lambda(0.5));
+        let r = solve_uniform(&c, &SinkhornOptions::with_lambda(0.5));
         assert!(r.transport_cost.abs() < 1e-12);
     }
 
     #[test]
     fn reg_value_includes_entropy_term() {
         let c = Matrix::zeros(2, 2);
-        let r = sinkhorn_uniform(&c, &SinkhornOptions::with_lambda(1.0));
+        let r = solve_uniform(&c, &SinkhornOptions::with_lambda(1.0));
         // zero cost → plan is product measure 1/4 each; Σ p log p = −log 4
         assert!(
             (r.reg_value - (-(4.0f64).ln())).abs() < 1e-9,
@@ -1338,29 +1189,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "marginal length mismatch")]
-    fn rejects_bad_marginal_length() {
-        let _ = sinkhorn(
-            &Matrix::zeros(2, 2),
-            &[1.0],
-            &[0.5, 0.5],
-            &SinkhornOptions::default(),
-        );
-    }
-
-    #[test]
     fn try_sinkhorn_reports_structured_errors() {
         let opts = SinkhornOptions::default();
         let half = [0.5, 0.5];
         assert!(matches!(
-            try_sinkhorn(&Matrix::zeros(2, 2), &[1.0], &half, &opts),
+            solve_ab(&Matrix::zeros(2, 2), &[1.0], &half, &opts),
             Err(SinkhornError::DimensionMismatch {
                 what: "first marginal",
                 ..
             })
         ));
         assert!(matches!(
-            try_sinkhorn(&Matrix::zeros(2, 2), &half, &[1.0, 2.0, 3.0], &opts),
+            solve_ab(&Matrix::zeros(2, 2), &half, &[1.0, 2.0, 3.0], &opts),
             Err(SinkhornError::DimensionMismatch {
                 what: "second marginal",
                 ..
@@ -1371,7 +1211,7 @@ mod tests {
             ..opts.clone()
         };
         assert!(matches!(
-            try_sinkhorn(&Matrix::zeros(2, 2), &half, &half, &bad_lambda),
+            solve_ab(&Matrix::zeros(2, 2), &half, &half, &bad_lambda),
             Err(SinkhornError::BadLambda { .. })
         ));
         let nan_lambda = SinkhornOptions {
@@ -1379,38 +1219,23 @@ mod tests {
             ..opts.clone()
         };
         assert!(matches!(
-            try_sinkhorn(&Matrix::zeros(2, 2), &half, &half, &nan_lambda),
+            solve_ab(&Matrix::zeros(2, 2), &half, &half, &nan_lambda),
             Err(SinkhornError::BadLambda { .. })
         ));
         assert!(matches!(
-            try_sinkhorn(&Matrix::zeros(2, 2), &[0.9, 0.9], &half, &opts),
+            solve_ab(&Matrix::zeros(2, 2), &[0.9, 0.9], &half, &opts),
             Err(SinkhornError::BadMarginal { side: "a", .. })
         ));
         assert!(matches!(
-            try_sinkhorn(&Matrix::zeros(2, 2), &half, &[-0.5, 1.5], &opts),
+            solve_ab(&Matrix::zeros(2, 2), &half, &[-0.5, 1.5], &opts),
             Err(SinkhornError::BadMarginal { side: "b", .. })
         ));
         let mut c = Matrix::zeros(2, 2);
         c[(1, 0)] = f64::NAN;
         assert_eq!(
-            try_sinkhorn(&c, &half, &half, &opts).unwrap_err(),
+            solve_ab(&c, &half, &half, &opts).unwrap_err(),
             SinkhornError::NonFiniteCost { row: 1, col: 0 }
         );
-    }
-
-    #[test]
-    fn try_sinkhorn_matches_panicking_solver_on_good_inputs() {
-        let c = toy_cost();
-        let opts = SinkhornOptions {
-            lambda: 0.2,
-            max_iters: 5000,
-            tol: 1e-9,
-            ..Default::default()
-        };
-        let a = sinkhorn_uniform(&c, &opts);
-        let b = try_sinkhorn_uniform(&c, &opts).expect("valid inputs");
-        assert_eq!(a.reg_value, b.reg_value);
-        assert_eq!(a.iterations, b.iterations);
     }
 
     #[test]
@@ -1419,7 +1244,7 @@ mod tests {
         let c = toy_cost();
         let a = [0.5, 0.5, 0.0];
         let b = [0.0, 0.5, 0.5];
-        let r = try_sinkhorn(&c, &a, &b, &SinkhornOptions::with_lambda(0.1)).unwrap();
+        let r = solve_ab(&c, &a, &b, &SinkhornOptions::with_lambda(0.1)).unwrap();
         let plan = r.plan(&c);
         assert!(plan.as_slice().iter().all(|p| p.is_finite() && *p >= 0.0));
         let rows = plan.row_sums();
@@ -1496,7 +1321,7 @@ mod epilogue_tests {
                         .max_iters(20)
                         .exec(ExecPolicy::threads(2))
                         .precision(precision);
-                    let r = try_sinkhorn(&cost, a, b, &opts).unwrap();
+                    let r = solve_ab(&cost, a, b, &opts).unwrap();
                     let (tc, reg, scale) = reference_objective(&r, &cost);
                     let what = format!("n={n} {precision:?}");
                     assert!(
@@ -1521,7 +1346,7 @@ mod epilogue_tests {
         let n = 128;
         let cost = masked_cost(n, 9);
         let (a, b) = (holey_marginal(n, 7, 2), holey_marginal(n, 7, 5));
-        let r = try_sinkhorn(&cost, &a, &b, &SinkhornOptions::with_lambda(0.05)).unwrap();
+        let r = solve_ab(&cost, &a, &b, &SinkhornOptions::with_lambda(0.05)).unwrap();
         assert!(r.reg_value.is_finite() && r.transport_cost.is_finite());
         let plan = r.plan(&cost);
         for i in 0..n {
@@ -1574,7 +1399,7 @@ mod escalation_tests {
             tol: 1e-9,
             ..Default::default()
         };
-        let plain = sinkhorn_uniform(&c, &opts);
+        let plain = solve_uniform(&c, &opts);
         assert!(
             !plain.converged,
             "test premise: plain solve must be starved"
@@ -1584,7 +1409,7 @@ mod escalation_tests {
             base_stages: 4,
             iter_growth: 4,
         };
-        let (r, stats) = try_sinkhorn_uniform_escalated(&c, &opts, &policy).unwrap();
+        let (r, stats) = solve(&c, None, Start::Cold, &opts, &policy).unwrap();
         assert!(
             r.converged,
             "escalation did not recover convergence: {stats:?}"
@@ -1609,7 +1434,7 @@ mod escalation_tests {
             base_stages: 4,
             iter_growth: 1,
         };
-        let (r, stats) = try_sinkhorn_uniform_escalated(&c, &opts, &policy).unwrap();
+        let (r, stats) = solve(&c, None, Start::Cold, &opts, &policy).unwrap();
         assert_eq!(stats.escalations, 2);
         assert_eq!(stats.unconverged, 1);
         // output is still finite — degraded, not poisoned
@@ -1626,8 +1451,7 @@ mod escalation_tests {
             tol: 1e-9,
             ..Default::default()
         };
-        let (r, stats) =
-            try_sinkhorn_uniform_escalated(&c, &opts, &EscalationPolicy::default()).unwrap();
+        let (r, stats) = solve(&c, None, Start::Cold, &opts, &EscalationPolicy::default()).unwrap();
         assert!(r.converged);
         assert!(
             stats.is_clean(),
@@ -1696,8 +1520,7 @@ mod escalation_tests {
             tol: 1e-9,
             ..Default::default()
         };
-        let (r, stats) =
-            try_sinkhorn_uniform_escalated(&c, &opts, &EscalationPolicy::default()).unwrap();
+        let (r, stats) = solve(&c, None, Start::Cold, &opts, &EscalationPolicy::default()).unwrap();
         assert_eq!(stats.tracked_iters(), &[r.iterations as u32]);
         assert_eq!(stats.iterations, r.iterations);
     }
@@ -1725,9 +1548,8 @@ mod escalation_tests {
             tol: 1e-12,
             ..Default::default()
         };
-        let plain = sinkhorn_uniform(&c, &opts);
-        let (r, stats) =
-            try_sinkhorn_uniform_escalated(&c, &opts, &EscalationPolicy::none()).unwrap();
+        let plain = solve_uniform(&c, &opts);
+        let (r, stats) = solve(&c, None, Start::Cold, &opts, &EscalationPolicy::none()).unwrap();
         assert_eq!(r.reg_value, plain.reg_value);
         assert_eq!(stats.escalations, 0);
     }
@@ -1735,10 +1557,18 @@ mod escalation_tests {
     #[test]
     fn try_warm_rejects_mismatched_potentials_without_panicking() {
         let c = hard_cost(6);
-        let a = vec![1.0 / 6.0; 6];
+        let a = [1.0 / 6.0; 6];
         let opts = SinkhornOptions::with_lambda(0.5);
+        let (ab, none) = (Some((&a[..], &a[..])), EscalationPolicy::none());
         // stale cache entry from a differently-sized batch
-        let err = try_sinkhorn_warm(&c, &a, &a, vec![0.0; 4], vec![0.0; 6], &opts).unwrap_err();
+        let err = solve(
+            &c,
+            ab,
+            Start::Warm(vec![0.0; 4], vec![0.0; 6]),
+            &opts,
+            &none,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             SinkhornError::DimensionMismatch {
@@ -1747,7 +1577,14 @@ mod escalation_tests {
                 expected: 6,
             }
         ));
-        let err = try_sinkhorn_warm(&c, &a, &a, vec![0.0; 6], vec![0.0; 9], &opts).unwrap_err();
+        let err = solve(
+            &c,
+            ab,
+            Start::Warm(vec![0.0; 6], vec![0.0; 9]),
+            &opts,
+            &none,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             SinkhornError::DimensionMismatch {
@@ -1760,12 +1597,64 @@ mod escalation_tests {
     #[test]
     fn try_warm_rejects_non_finite_potentials() {
         let c = hard_cost(4);
-        let a = vec![0.25; 4];
+        let a = [0.25; 4];
         let opts = SinkhornOptions::with_lambda(0.5);
         let mut f0 = vec![0.0; 4];
         f0[2] = f64::NAN;
-        let err = try_sinkhorn_warm(&c, &a, &a, f0, vec![0.0; 4], &opts).unwrap_err();
+        let err = solve(
+            &c,
+            Some((&a[..], &a[..])),
+            Start::Warm(f0, vec![0.0; 4]),
+            &opts,
+            &EscalationPolicy::none(),
+        )
+        .unwrap_err();
         assert!(matches!(err, SinkhornError::BadMarginal { .. }));
+    }
+
+    #[test]
+    fn warm_start_from_the_previous_problem_lands_on_the_cold_plan() {
+        use crate::cost::masked_sq_cost_with;
+        use scis_tensor::Rng64;
+        // consecutive DIM epochs on one full batch: the generator side moves
+        // by about one optimizer step, the data side stays, and the next
+        // solve starts from the previous epoch's duals
+        let (n, d) = (60, 6);
+        let mut rng = Rng64::seed_from_u64(12);
+        let x = Matrix::from_fn(n, d, |_, j| {
+            let t = rng.uniform();
+            (0.6 * t + 0.2 * (j as f64 / d as f64) + rng.normal_with(0.0, 0.05)).clamp(0.0, 1.0)
+        });
+        let mut rng = Rng64::seed_from_u64(11);
+        let mask = Matrix::from_fn(n, d, |_, _| if rng.bernoulli(0.75) { 1.0 } else { 0.0 });
+        let xbar = x.map(|v| (v + 0.08).clamp(0.0, 1.0));
+        let cost0 = masked_sq_cost_with(&xbar, &mask, &x, &mask, ExecPolicy::Serial);
+        let opts = SinkhornOptions::with_lambda(0.1 * cost0.mean())
+            .max_iters(5000)
+            .tol(1e-8)
+            .exec(ExecPolicy::Serial);
+        let prev = solve_uniform(&cost0, &opts);
+        let xbar1 = xbar.map(|v| (v - 0.002).clamp(0.0, 1.0));
+        let cost1 = masked_sq_cost_with(&xbar1, &mask, &x, &mask, ExecPolicy::Serial);
+        let cold = solve_uniform(&cost1, &opts);
+        let start = Start::Warm(prev.f.clone(), prev.g.clone());
+        let (warm, stats) = solve(&cost1, None, start, &opts, &EscalationPolicy::none()).unwrap();
+        assert!(cold.converged && warm.converged);
+        assert_eq!(stats.warm_starts, 1);
+        assert!(
+            warm.iterations <= cold.iterations,
+            "warm {} vs cold {} sweeps",
+            warm.iterations,
+            cold.iterations
+        );
+        let (warm_plan, cold_plan) = (warm.plan(&cost1), cold.plan(&cost1));
+        let diff = warm_plan
+            .as_slice()
+            .iter()
+            .zip(cold_plan.as_slice())
+            .map(|(p, q)| (p - q).abs())
+            .fold(0.0, f64::max);
+        assert!(diff < 1e-6, "plan max|Δ| {diff:e}");
     }
 
     #[test]
@@ -1778,11 +1667,16 @@ mod escalation_tests {
             ..Default::default()
         };
         let policy = EscalationPolicy::default();
-        let (cold, cold_stats) = try_sinkhorn_uniform_escalated(&c, &opts, &policy).unwrap();
+        let (cold, cold_stats) = solve(&c, None, Start::Cold, &opts, &policy).unwrap();
         assert_eq!(cold_stats.warm_starts, 0);
-        let (warm, warm_stats) =
-            try_sinkhorn_uniform_warm_escalated(&c, cold.f.clone(), cold.g.clone(), &opts, &policy)
-                .unwrap();
+        let (warm, warm_stats) = solve(
+            &c,
+            None,
+            Start::Warm(cold.f.clone(), cold.g.clone()),
+            &opts,
+            &policy,
+        )
+        .unwrap();
         assert_eq!(warm_stats.warm_starts, 1);
         assert!(warm.converged);
         // restarting from the fixed point must converge (much) faster …
@@ -1804,7 +1698,14 @@ mod escalation_tests {
             tol: 1e-8,
             ..Default::default()
         };
-        let (r, stats) = try_sinkhorn_uniform_eps_scaling(&c, &opts, 4).unwrap();
+        let (r, stats) = solve(
+            &c,
+            None,
+            Start::Annealed(4),
+            &opts,
+            &EscalationPolicy::none(),
+        )
+        .unwrap();
         assert_eq!(stats.solves, 1);
         assert_eq!(stats.iterations, r.iterations);
         assert_eq!(stats.converged, r.converged as usize);
@@ -1838,8 +1739,16 @@ mod eps_scaling_tests {
             tol: 1e-10,
             ..Default::default()
         };
-        let cold = sinkhorn_uniform(&c, &opts);
-        let warm = sinkhorn_eps_scaling_uniform(&c, &opts, 5);
+        let cold = solve_uniform(&c, &opts);
+        let warm = solve(
+            &c,
+            None,
+            Start::Annealed(5),
+            &opts,
+            &EscalationPolicy::none(),
+        )
+        .unwrap()
+        .0;
         assert!(warm.converged);
         assert!(
             (warm.reg_value - cold.reg_value).abs() < 1e-6,
@@ -1863,8 +1772,16 @@ mod eps_scaling_tests {
             tol: 1e-9,
             ..Default::default()
         };
-        let cold = sinkhorn_uniform(&c, &opts);
-        let warm = sinkhorn_eps_scaling_uniform(&c, &opts, 6);
+        let cold = solve_uniform(&c, &opts);
+        let warm = solve(
+            &c,
+            None,
+            Start::Annealed(6),
+            &opts,
+            &EscalationPolicy::none(),
+        )
+        .unwrap()
+        .0;
         assert!(warm.converged && cold.converged);
         assert!(
             warm.iterations <= cold.iterations,
@@ -1884,9 +1801,17 @@ mod eps_scaling_tests {
             tol: 1e-10,
             ..Default::default()
         };
-        let r1 = sinkhorn_uniform(&c, &opts);
-        let a = vec![1.0 / 12.0; 12];
-        let r2 = sinkhorn_warm(&c, &a, &a, r1.f.clone(), r1.g.clone(), &opts);
+        let r1 = solve_uniform(&c, &opts);
+        let a = [1.0 / 12.0; 12];
+        let r2 = solve(
+            &c,
+            Some((&a[..], &a[..])),
+            Start::Warm(r1.f.clone(), r1.g.clone()),
+            &opts,
+            &EscalationPolicy::none(),
+        )
+        .unwrap()
+        .0;
         assert!(r2.converged);
         assert!(
             r2.iterations <= 2,
@@ -1904,8 +1829,16 @@ mod eps_scaling_tests {
             tol: 1e-10,
             ..Default::default()
         };
-        let a = sinkhorn_uniform(&c, &opts);
-        let b = sinkhorn_eps_scaling_uniform(&c, &opts, 1);
+        let a = solve_uniform(&c, &opts);
+        let b = solve(
+            &c,
+            None,
+            Start::Annealed(1),
+            &opts,
+            &EscalationPolicy::none(),
+        )
+        .unwrap()
+        .0;
         assert!((a.reg_value - b.reg_value).abs() < 1e-9);
     }
 }

@@ -306,9 +306,10 @@ impl ModelBundle {
             });
         }
 
-        let mut columns = Vec::with_capacity(d);
-        let mut mins = Vec::with_capacity(d);
-        let mut spans = Vec::with_capacity(d);
+        // `d` is unchecked until the checksum at the end: the vectors grow
+        // with the lines actually read, and a count past the end of the file
+        // ends in a typed error
+        let (mut columns, mut mins, mut spans) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..d {
             let (ln, line) = next("col")?;
             let rest = line.strip_prefix("col ").ok_or(BundleError::Format {

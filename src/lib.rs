@@ -24,10 +24,13 @@ pub use scis_serve as serve;
 pub use scis_telemetry as telemetry;
 pub use scis_tensor as tensor;
 
-/// One-stop imports for the common SCIS workflows: load a [`Dataset`],
-/// configure [`ScisConfig`] fluently (including the [`ExecPolicy`] used by
-/// every compute layer), wrap a GAN imputer, run [`Scis`], and serve the
-/// trained model through a [`ModelBundle`] / [`ImputeService`].
+/// One-stop imports for the common SCIS workflows: load a
+/// [`Dataset`](prelude::Dataset), configure
+/// [`ScisConfig`](prelude::ScisConfig) fluently (including the
+/// [`ExecPolicy`](prelude::ExecPolicy) used by every compute layer), wrap a
+/// GAN imputer, run [`Scis`](prelude::Scis), and serve the trained model
+/// through a [`ModelBundle`](prelude::ModelBundle) /
+/// [`ImputeService`](prelude::ImputeService).
 ///
 /// The prelude deliberately stops at the workflow layer: solver internals
 /// (`SinkhornOptions`, `MaskedRows`) and the raw telemetry slab enums

@@ -8,7 +8,7 @@
 //! fault-tolerance anomaly record all equal under Serial vs `threads(4)`).
 
 use scis_data::missing::inject_mcar;
-use scis_repro::ot::SinkhornOptions;
+use scis_repro::ot::{solve, AccelContext, EscalationPolicy, SinkhornOptions, Start};
 use scis_repro::prelude::*;
 
 fn correlated_table(n: usize, seed: u64) -> Matrix {
@@ -205,15 +205,18 @@ fn sinkhorn_sweeps_are_bit_identical_above_threshold() {
     let base = SinkhornOptions::default().lambda(0.05).max_iters(300);
 
     let cost_s = scis_repro::ot::masked_sq_cost_with(&a, &ones, &b, &ones, ExecPolicy::Serial);
-    let serial = scis_repro::ot::sinkhorn_uniform(&cost_s, &base.clone().exec(ExecPolicy::Serial));
+    let (none, plain) = (EscalationPolicy::none(), AccelContext::plain());
+    let serial_opts = base.clone().exec(ExecPolicy::Serial);
+    let (serial, _) = solve(&cost_s, None, Start::Cold, &serial_opts, &none).unwrap();
     let plan_s = serial.plan(&cost_s);
-    let (loss_s, grad_s) =
-        scis_repro::ot::ms_loss_grad(&a, &b, &mask, &base.clone().exec(ExecPolicy::Serial));
+    let (loss_s, grad_s, _) =
+        scis_repro::ot::ms_loss_grad(&a, &b, &mask, &serial_opts, &none, &plain, None).unwrap();
     for threads in [1usize, 2, 3, 7] {
         let exec = ExecPolicy::threads(threads);
         let cost_p = scis_repro::ot::masked_sq_cost_with(&a, &ones, &b, &ones, exec);
         assert_eq!(cost_s, cost_p, "cost matrix diverged at {threads} threads");
-        let par = scis_repro::ot::sinkhorn_uniform(&cost_p, &base.clone().exec(exec));
+        let par_opts = base.clone().exec(exec);
+        let (par, _) = solve(&cost_p, None, Start::Cold, &par_opts, &none).unwrap();
         assert_eq!(
             bits(&serial.f),
             bits(&par.f),
@@ -240,8 +243,8 @@ fn sinkhorn_sweeps_are_bit_identical_above_threshold() {
             "transport_cost diverged at {threads} threads"
         );
         assert_eq!(serial.iterations, par.iterations);
-        let (loss_p, grad_p) =
-            scis_repro::ot::ms_loss_grad(&a, &b, &mask, &base.clone().exec(exec));
+        let (loss_p, grad_p, _) =
+            scis_repro::ot::ms_loss_grad(&a, &b, &mask, &par_opts, &none, &plain, None).unwrap();
         assert_eq!(
             loss_s.to_bits(),
             loss_p.to_bits(),

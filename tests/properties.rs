@@ -11,7 +11,7 @@ use scis_data::mask::MaskMatrix;
 use scis_data::normalize::MinMaxScaler;
 use scis_data::{Dataset, Holdout};
 use scis_imputers::tree::{RegressionTree, TreeConfig};
-use scis_ot::{ms_divergence, SinkhornOptions};
+use scis_ot::{ms_divergence, solve, EscalationPolicy, SinkhornOptions, Start};
 use scis_tensor::{Matrix, Rng64};
 
 /// Runs `cases` independent trials, each with its own deterministic seed.
@@ -128,7 +128,8 @@ fn sinkhorn_plan_satisfies_marginals() {
             tol: 1e-9,
             ..Default::default()
         };
-        let res = scis_ot::sinkhorn::sinkhorn_eps_scaling_uniform(&cost, &opts, 5);
+        let none = EscalationPolicy::none();
+        let (res, _) = solve(&cost, None, Start::Annealed(5), &opts, &none).unwrap();
         let plan = res.plan(&cost);
         let u = 1.0 / n as f64;
         for s in plan.col_sums() {
@@ -169,7 +170,8 @@ fn sinkhorn_rectangular_plans_satisfy_marginals() {
             tol: 1e-10,
             ..Default::default()
         };
-        let res = scis_ot::sinkhorn(&cost, &a, &b, &opts);
+        let ab = Some((&a[..], &b[..]));
+        let (res, _) = solve(&cost, ab, Start::Cold, &opts, &EscalationPolicy::none()).unwrap();
         let plan = res.plan(&cost);
         assert!(res.converged, "seed {}", seed);
         for (s, want) in plan.col_sums().iter().zip(&b) {
@@ -209,7 +211,8 @@ fn sinkhorn_extreme_lambda_stays_finite_and_feasible() {
                 tol: 1e-9,
                 ..Default::default()
             };
-            let res = scis_ot::sinkhorn_uniform(&cost, &opts);
+            let none = EscalationPolicy::none();
+            let (res, _) = solve(&cost, None, Start::Cold, &opts, &none).unwrap();
             let plan = res.plan(&cost);
             for p in plan.as_slice() {
                 assert!(
@@ -266,7 +269,8 @@ fn sinkhorn_degenerate_marginals_confine_mass() {
             tol: 1e-9,
             ..Default::default()
         };
-        let res = scis_ot::sinkhorn(&cost, &a, &b, &opts);
+        let ab = Some((&a[..], &b[..]));
+        let (res, _) = solve(&cost, ab, Start::Cold, &opts, &EscalationPolicy::none()).unwrap();
         let plan = res.plan(&cost);
         for j in 0..n {
             assert_eq!(plan[(dead_row, j)], 0.0, "seed {}: dead row leaked", seed);
@@ -373,4 +377,84 @@ fn holdout_struct_is_reexported() {
         truth: vec![1.0],
     };
     assert_eq!(h.len(), 1);
+}
+
+/// `text(count)` with its count line forged to `u64::MAX`, to 10^12, and to
+/// one more than the file's lines. Each must parse to a typed error, never a
+/// capacity-overflow panic or an allocation abort.
+fn forged(text: impl Fn(&str) -> String) -> Vec<(String, String)> {
+    let lines = text("0").lines().count();
+    [
+        u64::MAX.to_string(),
+        "1000000000000".into(),
+        (lines + 1).to_string(),
+    ]
+    .into_iter()
+    .map(|count| {
+        let forged = text(&count);
+        (count, forged)
+    })
+    .collect()
+}
+
+#[test]
+fn model_text_with_a_forged_count_or_width_is_a_typed_error() {
+    // with 10^12 this is the 38-byte file that used to abort the process
+    let mut texts: Vec<String> = forged(|c| format!("scis-mlp v2\nin 2\nparams {c}\n"))
+        .into_iter()
+        .map(|(_, text)| text)
+        .collect();
+    // widths are as untrusted as counts, and a checksum does not vouch for
+    // them: anyone can compute one
+    let signed = |body: &str| format!("{body}checksum {:x}\n", scis_nn::fnv1a64(body.as_bytes()));
+    texts.extend([
+        "scis-mlp v1\nin 1000000\ndense 1000000 identity\nparams 0\n".to_string(),
+        signed("scis-mlp v2\nin 1000000\ndense 1000000 identity\nparams 0\n"),
+        signed(&format!(
+            "scis-mlp v2\nin {}\ndense 2 relu\nparams 0\n",
+            u64::MAX
+        )),
+        "scis-mlp v1\nin 2\ndropout 5\ndense 1 identity\nparams 3\n0\n0\n0\n".to_string(),
+        "scis-mlp v1\nin 2\nparams 0\n".to_string(),
+    ]);
+    for text in texts {
+        let Err(err) = scis_nn::mlp_from_str(&text) else {
+            panic!("{text:?}: parsed");
+        };
+        assert!(
+            matches!(err, scis_nn::serialize::ModelIoError::Format { .. }),
+            "{text:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn checkpoint_with_a_forged_vector_count_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("scis_prop_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("forged.ckpt");
+    let head = "scis-ckpt v1\nphase initial\nepoch 0\nrng 1 2 3 4 -\nadam 0 0 0 0 0\n";
+    for (count, text) in forged(|c| format!("{head}vec adam_m {c}\n0\n")) {
+        std::fs::write(&path, text).unwrap();
+        let err = scis_core::checkpoint::TrainCheckpoint::load(&path).unwrap_err();
+        assert!(
+            matches!(err, scis_nn::serialize::ModelIoError::Format { .. }),
+            "vec adam_m {count}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bundle_with_a_forged_column_count_is_a_typed_error() {
+    let col = "col cont 0000000000000000 3ff0000000000000 0000000000000000 a";
+    for (count, text) in forged(|c| format!("scis-bundle v1\ncolumns {c}\n{col}\n")) {
+        let Err(err) = scis_serve::ModelBundle::from_text(&text) else {
+            panic!("columns {count}: parsed");
+        };
+        assert!(
+            matches!(err, scis_serve::BundleError::Format { .. }),
+            "columns {count}: {err}"
+        );
+    }
 }
