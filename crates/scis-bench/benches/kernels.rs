@@ -11,8 +11,8 @@ use std::time::Instant;
 use scis_imputers::{AdversarialImputer, GainImputer, GinnImputer, TrainConfig};
 use scis_nn::Adam;
 use scis_ot::{ms_loss_grad, solve, AccelContext, EscalationPolicy, SinkhornOptions, Start};
-use scis_tensor::par::{matmul_exec, pairwise_sq_dists_exec};
-use scis_tensor::{ExecPolicy, Matrix, Rng64};
+use scis_tensor::ops::{gemm, pairwise_sq_dists, Op};
+use scis_tensor::{ExecPolicy, Matrix, Precision, Rng64};
 
 /// Times `body` over `iters` runs after one warm-up, printing mean per-run.
 fn bench<R>(name: &str, iters: usize, mut body: impl FnMut() -> R) {
@@ -92,25 +92,21 @@ fn bench_par_kernels() {
     let mut rng = Rng64::seed_from_u64(5);
     let a = Matrix::from_fn(n, n, |_, _| rng.uniform());
     let b = Matrix::from_fn(n, n, |_, _| rng.uniform());
+    let product = |exec| gemm(black_box(&a), Op::Nn, black_box(&b), exec, Precision::F64);
     for &(label, exec) in &[
         ("serial", ExecPolicy::Serial),
         ("4 threads", ExecPolicy::threads(4)),
     ] {
-        bench(&format!("matmul/{n} ({label})"), 5, || {
-            matmul_exec(black_box(&a), black_box(&b), exec)
-        });
+        bench(&format!("matmul/{n} ({label})"), 5, || product(exec));
         bench(&format!("pairwise_sq_dists/{n} ({label})"), 5, || {
-            pairwise_sq_dists_exec(black_box(&a), black_box(&b), exec)
+            pairwise_sq_dists(black_box(&a), black_box(&b), exec)
         });
     }
     // the determinism contract the policies promise
+    assert_eq!(product(ExecPolicy::Serial), product(ExecPolicy::threads(4)));
     assert_eq!(
-        matmul_exec(&a, &b, ExecPolicy::Serial),
-        matmul_exec(&a, &b, ExecPolicy::threads(4)),
-    );
-    assert_eq!(
-        pairwise_sq_dists_exec(&a, &b, ExecPolicy::Serial),
-        pairwise_sq_dists_exec(&a, &b, ExecPolicy::threads(4)),
+        pairwise_sq_dists(&a, &b, ExecPolicy::Serial),
+        pairwise_sq_dists(&a, &b, ExecPolicy::threads(4)),
     );
 }
 

@@ -14,7 +14,8 @@
 //! ```
 
 use scis_bench::harness::{finish_process, run_with_budget, BenchConfig};
-use scis_core::dim::{try_train_dim, CriticConfig, DimConfig, GenerativeLoss, LambdaMode};
+use scis_core::dim::{train_dim, CriticConfig, DimConfig, GenerativeLoss, LambdaMode, TrainRun};
+use scis_core::GuardStats;
 use scis_data::metrics::make_holdout;
 use scis_data::normalize::MinMaxScaler;
 use scis_data::CovidRecipe;
@@ -121,7 +122,8 @@ fn main() {
         let t = Instant::now();
         let out = run_with_budget(cfg.budget, move || {
             let mut gain = GainImputer::new(train);
-            let _ = try_train_dim(&mut gain, &ds, &dim, &mut r).expect("dim training");
+            let (run, mut stats) = (TrainRun::default(), GuardStats::default());
+            train_dim(&mut gain, &ds, &dim, &run, &mut stats, &mut r).expect("dim training");
             impute_with_generator(&mut gain, &ds, &mut r)
         });
         report(

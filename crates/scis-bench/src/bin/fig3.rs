@@ -7,8 +7,9 @@
 //! ```
 
 use scis_bench::harness::{finish_process, recipes_from_env, run_with_budget, BenchConfig};
-use scis_core::dim::{try_train_dim, DimConfig};
+use scis_core::dim::{train_dim, DimConfig, TrainRun};
 use scis_core::pipeline::{Scis, ScisConfig};
+use scis_core::GuardStats;
 use scis_data::metrics::make_holdout;
 use scis_data::normalize::MinMaxScaler;
 use scis_data::CovidRecipe;
@@ -66,7 +67,8 @@ fn main() {
                 train,
                 ..Default::default()
             };
-            let _ = try_train_dim(&mut gain, &ds_u, &dim, &mut rng_u).expect("dim training");
+            let (run, mut stats) = (TrainRun::default(), GuardStats::default());
+            train_dim(&mut gain, &ds_u, &dim, &run, &mut stats, &mut rng_u).expect("dim training");
             impute_with_generator(&mut gain, &ds_u, &mut rng_u)
         })
         .map(|m| holdout.rmse(&m));

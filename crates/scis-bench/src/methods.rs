@@ -2,9 +2,8 @@
 //! baselines, the two GAN models, their SCIS-wrapped versions, and the
 //! ablation variants of Tables V/VI.
 
-use scis_core::dim::{train_dim_telemetered, DimConfig};
-use scis_core::error::TrainPhase;
-use scis_core::guard::{GuardConfig, GuardStats};
+use scis_core::dim::{train_dim, DimConfig, TrainRun};
+use scis_core::guard::GuardStats;
 use scis_core::pipeline::{Scis, ScisConfig};
 use scis_core::RunReport;
 use scis_data::split::sample_training_set;
@@ -308,16 +307,11 @@ fn run_dim_ablation(
     };
     imp.set_telemetry(tel.clone());
     let mut stats = GuardStats::default();
-    if let Err(e) = train_dim_telemetered(
-        imp,
-        ds,
-        &cfg,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        tel,
-        rng,
-    ) {
+    let run = TrainRun {
+        telemetry: tel.clone(),
+        ..TrainRun::default()
+    };
+    if let Err(e) = train_dim(imp, ds, &cfg, &run, &mut stats, rng) {
         eprintln!("scis-bench: DIM training failed ({e}); keeping the best snapshot");
     }
 }

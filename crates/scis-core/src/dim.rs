@@ -31,7 +31,7 @@ use scis_ot::{
     SolveStats, Start,
 };
 use scis_telemetry::{Counter, Event, Hist, Series, Telemetry};
-use scis_tensor::par::pairwise_sq_dists_exec;
+use scis_tensor::ops::pairwise_sq_dists;
 use scis_tensor::{ExecPolicy, Matrix, Rng64, RunDeadline};
 
 /// Mirrors one batch's Sinkhorn solve accounting into the telemetry
@@ -331,126 +331,34 @@ impl Critic {
     }
 }
 
-/// Trains (or continues training) the generator of `imp` on `ds` under the
-/// MS-divergence loss, with the default guard and no telemetry. Networks
-/// must already be initialized for a warm start; otherwise they are
-/// initialized here. A terminal failure is a structured [`TrainingError`]
-/// (the generator is left on its best snapshot, so callers may still
-/// impute with it).
-pub fn try_train_dim(
-    imp: &mut dyn AdversarialImputer,
-    ds: &Dataset,
-    cfg: &DimConfig,
-    rng: &mut Rng64,
-) -> Result<DimReport, TrainingError> {
-    let mut stats = GuardStats::default();
-    train_dim_guarded(
-        imp,
-        ds,
-        cfg,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        rng,
-    )
-}
-
-fn all_finite(m: &Matrix) -> bool {
-    m.as_slice().iter().all(|v| v.is_finite())
-}
-
-/// Fault-tolerant DIM training (see [`crate::guard`] module docs for the
-/// three recovery rings).
-///
-/// On the healthy path this is *bit-identical* to unguarded training: the
-/// guard only reads losses and parameters, never the RNG, so seeds
-/// reproduce. Recovery accounting accumulates into `stats`;
-/// a terminal failure returns a [`TrainingError`] with the generator left
-/// on its best snapshot.
-pub fn train_dim_guarded(
-    imp: &mut dyn AdversarialImputer,
-    ds: &Dataset,
-    cfg: &DimConfig,
-    guard_cfg: &GuardConfig,
-    phase: TrainPhase,
-    stats: &mut GuardStats,
-    rng: &mut Rng64,
-) -> Result<DimReport, TrainingError> {
-    train_dim_telemetered(
-        imp,
-        ds,
-        cfg,
-        guard_cfg,
-        phase,
-        stats,
-        &Telemetry::off(),
-        rng,
-    )
-}
-
-/// [`train_dim_guarded`] with a telemetry collector: epochs, applied and
-/// skipped batches, guard events, and per-solve Sinkhorn accounting are
-/// mirrored into `tel`. Recording is determinism-neutral — it never reads
-/// the RNG or the numeric path, and every counted event happens at the same
-/// logical point under any [`ExecPolicy`], so counter totals are
-/// bit-identical between serial and threaded runs.
-#[allow(clippy::too_many_arguments)]
-pub fn train_dim_telemetered(
-    imp: &mut dyn AdversarialImputer,
-    ds: &Dataset,
-    cfg: &DimConfig,
-    guard_cfg: &GuardConfig,
-    phase: TrainPhase,
-    stats: &mut GuardStats,
-    tel: &Telemetry,
-    rng: &mut Rng64,
-) -> Result<DimReport, TrainingError> {
-    let cache = if cfg.accel.warm_start {
-        DualCache::enabled()
-    } else {
-        DualCache::off()
-    };
-    train_dim_cached(imp, ds, cfg, guard_cfg, phase, stats, tel, &cache, rng)
-}
-
-/// [`train_dim_telemetered`] with an externally owned [`DualCache`], so the
-/// pipeline can hand the warm training-phase cache to the SSE Monte-Carlo
-/// fan-out for read-only reuse afterwards. Every Sinkhorn solve goes through
-/// `cache` (pass [`DualCache::off`] for cold solves). The cache is
-/// invalidated here on every guard rollback: after the parameters rewind,
-/// cached duals describe a generator state that no longer exists.
-#[allow(clippy::too_many_arguments)]
-pub fn train_dim_cached(
-    imp: &mut dyn AdversarialImputer,
-    ds: &Dataset,
-    cfg: &DimConfig,
-    guard_cfg: &GuardConfig,
-    phase: TrainPhase,
-    stats: &mut GuardStats,
-    tel: &Telemetry,
-    cache: &DualCache,
-    rng: &mut Rng64,
-) -> Result<DimReport, TrainingError> {
-    train_dim_resumable(
-        imp,
-        ds,
-        cfg,
-        guard_cfg,
-        phase,
-        stats,
-        tel,
-        cache,
-        &TrainHooks::default(),
-        rng,
-    )
-}
-
-/// Robustness hooks for [`train_dim_resumable`]: periodic checkpointing,
-/// resume-from-checkpoint, and a cooperative run deadline. The default
-/// value disables all three, making the hot path identical to
-/// [`train_dim_cached`].
-#[derive(Debug, Clone, Default)]
-pub struct TrainHooks<'a> {
+/// Everything about one DIM training run beyond the model, the data and
+/// the [`DimConfig`]: the guard, the Algorithm-1 phase being trained, the
+/// telemetry collector, the dual cache and the four robustness hooks.
+/// [`TrainRun::default`] is a plain guarded run: default guard, initial
+/// phase, telemetry off, a fresh cache per [`AccelConfig::warm_start`], and
+/// no checkpoint, resume, deadline or heartbeat.
+#[derive(Debug, Clone)]
+pub struct TrainRun<'a> {
+    /// Fault-tolerance knobs (see [`crate::guard`] module docs for the three
+    /// recovery rings).
+    pub guard: GuardConfig,
+    /// The Algorithm-1 phase being trained; tags errors, events and
+    /// checkpoints, and selects which checkpoint `resume` applies to.
+    pub phase: TrainPhase,
+    /// Epochs, applied and skipped batches, guard events and per-solve
+    /// Sinkhorn accounting are mirrored here. Recording is
+    /// determinism-neutral: it never reads the RNG or the numeric path, and
+    /// every counted event happens at the same logical point under any
+    /// [`ExecPolicy`], so counter totals are bit-identical between serial
+    /// and threaded runs.
+    pub telemetry: Telemetry,
+    /// The dual cache every Sinkhorn solve goes through. `None` builds a
+    /// fresh one for this run from [`AccelConfig::warm_start`]; the pipeline
+    /// passes its own so the SSE Fisher probe can reuse the warm duals
+    /// read-only afterwards. It is invalidated on every guard rollback:
+    /// after the parameters rewind, cached duals describe a generator state
+    /// that no longer exists.
+    pub cache: Option<&'a DualCache>,
     /// Write a [`TrainCheckpoint`] at epoch boundaries under this policy,
     /// plus an emergency checkpoint on terminal failure or deadline expiry.
     pub checkpoint: Option<&'a CheckpointPolicy>,
@@ -468,6 +376,38 @@ pub struct TrainHooks<'a> {
     /// touches the RNG streams or the model, so the trained parameters are
     /// bit-identical with the hook attached or absent.
     pub heartbeat: crate::heartbeat::HeartbeatHook,
+}
+
+impl Default for TrainRun<'_> {
+    fn default() -> Self {
+        Self {
+            guard: GuardConfig::default(),
+            phase: TrainPhase::Initial,
+            telemetry: Telemetry::off(),
+            cache: None,
+            checkpoint: None,
+            resume: None,
+            deadline: RunDeadline::none(),
+            heartbeat: Default::default(),
+        }
+    }
+}
+
+/// A fresh dual cache for one training phase: enabled under
+/// [`AccelConfig::warm_start`], off otherwise. Each phase gets its *own*
+/// cache: entries are keyed by dataset-local row index, and the phases
+/// train on different row sets (X0, the sibling sample, X*), so sharing
+/// would alias unrelated rows.
+pub(crate) fn phase_cache(accel: AccelConfig) -> DualCache {
+    if accel.warm_start {
+        DualCache::enabled()
+    } else {
+        DualCache::off()
+    }
+}
+
+fn all_finite(m: &Matrix) -> bool {
+    m.as_slice().iter().all(|v| v.is_finite())
 }
 
 /// Snapshots the full train-loop state at an epoch boundary. Read-only —
@@ -523,9 +463,15 @@ fn write_checkpoint(
     }
 }
 
-/// [`train_dim_cached`] plus the crash-safety hooks of [`TrainHooks`]:
-/// epoch-boundary checkpoints, resume fast-forward, and a cooperative run
-/// deadline (DESIGN.md §14).
+/// Trains (or continues training) the generator of `imp` on `ds` under the
+/// MS-divergence loss. Networks must already be initialized for a warm
+/// start; otherwise they are initialized here.
+///
+/// **Fault tolerance** — on the healthy path the guard is invisible: it
+/// only reads losses and parameters, never the RNG, so seeds reproduce.
+/// Recovery accounting accumulates into `stats`; a terminal failure returns
+/// a [`TrainingError`] with the generator left on its best snapshot, so
+/// callers may still impute with it.
 ///
 /// **Resume contract** — resuming a checkpoint written at epoch `k`
 /// produces, for the remaining epochs, a parameter/RNG trajectory
@@ -534,20 +480,24 @@ fn write_checkpoint(
 /// restores parameters, Adam moments, guard state, and finally the RNG
 /// stream position, so epoch `k` onward recomputes the identical numbers.
 /// The contract holds for the default configuration (no critic — a critic's
-/// own optimizer state is not checkpointed).
-#[allow(clippy::too_many_arguments)]
-pub fn train_dim_resumable(
+/// own optimizer state is not checkpointed). See DESIGN.md §14.
+pub fn train_dim(
     imp: &mut dyn AdversarialImputer,
     ds: &Dataset,
     cfg: &DimConfig,
-    guard_cfg: &GuardConfig,
-    phase: TrainPhase,
+    run: &TrainRun<'_>,
     stats: &mut GuardStats,
-    tel: &Telemetry,
-    cache: &DualCache,
-    hooks: &TrainHooks<'_>,
     rng: &mut Rng64,
 ) -> Result<DimReport, TrainingError> {
+    let own_cache;
+    let cache = match run.cache {
+        Some(cache) => cache,
+        None => {
+            own_cache = phase_cache(cfg.accel);
+            &own_cache
+        }
+    };
+    let (phase, tel) = (run.phase, &run.telemetry);
     let start = std::time::Instant::now();
     let d = ds.n_features();
     if !imp.is_initialized(d) {
@@ -574,7 +524,7 @@ pub fn train_dim_resumable(
         .then(|| MaskedRows::new(&x, &mask));
 
     let mut guard = TrainingGuard::new(
-        *guard_cfg,
+        run.guard,
         imp.generator_mut().param_vector(),
         cfg.train.learning_rate,
     );
@@ -586,7 +536,7 @@ pub fn train_dim_resumable(
     // Setup above consumed the same RNG draws as the original run; now
     // overwrite everything the checkpoint captured. The RNG restore comes
     // last so the stream continues exactly where the checkpoint cut it.
-    if let Some(ckpt) = hooks.resume.filter(|c| c.phase == phase) {
+    if let Some(ckpt) = run.resume.filter(|c| c.phase == phase) {
         let expected = imp.generator_mut().param_vector().len();
         if ckpt.gen_params.len() != expected {
             return Err(TrainingError {
@@ -610,7 +560,7 @@ pub fn train_dim_resumable(
         }
         opt_g = Adam::from_state(&ckpt.adam);
         guard = TrainingGuard::restore(
-            *guard_cfg,
+            run.guard,
             ckpt.guard_best_params.clone(),
             ckpt.guard_best_loss,
             ckpt.guard_lr,
@@ -625,13 +575,13 @@ pub fn train_dim_resumable(
     // write, and what both the emergency checkpoint and the in-memory model
     // rewind to when the deadline trips mid-epoch (state past the boundary
     // may already be contaminated by deadline-shortened Sinkhorn solves).
-    let hooks_active = hooks.checkpoint.is_some() || hooks.deadline.is_some();
+    let hooks_active = run.checkpoint.is_some() || run.deadline.is_some();
     let mut boundary =
         hooks_active.then(|| capture_boundary(imp, phase, epoch, &opt_g, &guard, stats, rng));
     let mut deadline_stop = false;
 
     while epoch < cfg.train.epochs {
-        if hooks.deadline.expired() {
+        if run.deadline.expired() {
             deadline_stop = true;
             break;
         }
@@ -646,7 +596,7 @@ pub fn train_dim_resumable(
             if chunk.len() < 2 {
                 continue;
             }
-            if hooks.deadline.expired() {
+            if run.deadline.expired() {
                 deadline_stop = true;
                 break;
             }
@@ -686,9 +636,7 @@ pub fn train_dim_resumable(
                         None => masked_sq_cost_with(&xbar, &mb, &xb, &mb, cfg.exec),
                     };
                     let lambda = cfg.resolve_lambda(&cost);
-                    let opts = cfg
-                        .sinkhorn_options(lambda)
-                        .deadline(hooks.deadline.clone());
+                    let opts = cfg.sinkhorn_options(lambda).deadline(run.deadline.clone());
                     let ctx = AccelContext {
                         cache,
                         rows: chunk,
@@ -697,7 +645,7 @@ pub fn train_dim_resumable(
                         eps_scale_cold: cfg.accel.eps_scale_cold,
                         store: true,
                     };
-                    let policy = &guard_cfg.sinkhorn_escalation;
+                    let policy = &run.guard.sinkhorn_escalation;
                     let result = ms_loss_grad(&xbar, &xb, &mb, &opts, policy, &ctx, Some(cost));
                     match result {
                         Ok((loss, grad, solve_stats)) => {
@@ -739,7 +687,7 @@ pub fn train_dim_resumable(
             }
             // a solve that raced the deadline may have been truncated
             // mid-sweep — stop before applying a contaminated gradient
-            if hooks.deadline.expired() {
+            if run.deadline.expired() {
                 deadline_stop = true;
                 break;
             }
@@ -749,7 +697,7 @@ pub fn train_dim_resumable(
             let (rec_loss, rec_grad) = weighted_mse(&xbar, &xb, &mb);
             grad_xbar.axpy(cfg.alpha, &rec_grad);
             let grad_norm = grad_xbar.frobenius_norm();
-            if !grad_norm.is_finite() || grad_norm > guard_cfg.max_grad_norm {
+            if !grad_norm.is_finite() || grad_norm > run.guard.max_grad_norm {
                 failure = Some(FailureReason::ExplodingGradient { norm: grad_norm });
                 break;
             }
@@ -771,7 +719,7 @@ pub fn train_dim_resumable(
             }
             // fine-grained progress: silent unless a positive interval is
             // configured and due (module docs of `heartbeat`)
-            hooks.heartbeat.poll_fine(&crate::heartbeat::Progress {
+            run.heartbeat.poll_fine(&crate::heartbeat::Progress {
                 phase: phase.name(),
                 epoch: epoch as u64,
                 epochs: cfg.train.epochs as u64,
@@ -875,7 +823,7 @@ pub fn train_dim_resumable(
             // leave a post-mortem checkpoint next to the structured error:
             // the last clean boundary, with the generator on its best
             // snapshot, is exactly the state a caller would resume from
-            if let (Some(policy), Some(b)) = (hooks.checkpoint, &boundary) {
+            if let (Some(policy), Some(b)) = (run.checkpoint, &boundary) {
                 write_checkpoint(policy, b, true, tel);
             }
             return Err(TrainingError {
@@ -891,7 +839,7 @@ pub fn train_dim_resumable(
         }
         // one heartbeat per attempted epoch (rolled-back attempts report
         // the unchanged completed-epoch count and the bumped rollback total)
-        hooks.heartbeat.poll(&crate::heartbeat::Progress {
+        run.heartbeat.poll(&crate::heartbeat::Progress {
             phase: phase.name(),
             epoch: epoch as u64,
             epochs: cfg.train.epochs as u64,
@@ -911,7 +859,7 @@ pub fn train_dim_resumable(
                 imp, phase, epoch, &opt_g, &guard, stats, rng,
             ));
             if !rolled_back {
-                if let (Some(policy), Some(b)) = (hooks.checkpoint, &boundary) {
+                if let (Some(policy), Some(b)) = (run.checkpoint, &boundary) {
                     if epoch.is_multiple_of(policy.every) {
                         write_checkpoint(policy, b, false, tel);
                     }
@@ -921,7 +869,7 @@ pub fn train_dim_resumable(
     }
 
     if deadline_stop {
-        if hooks.deadline.newly_expired() {
+        if run.deadline.newly_expired() {
             tel.record_event(Event::DeadlineHit {
                 phase: phase.name(),
                 epoch: epoch as u32,
@@ -931,7 +879,7 @@ pub fn train_dim_resumable(
             // rewind to the last clean boundary so the in-memory model is
             // exactly the state the emergency checkpoint records
             imp.generator_mut().set_param_vector(&b.gen_params);
-            if let Some(policy) = hooks.checkpoint {
+            if let Some(policy) = run.checkpoint {
                 write_checkpoint(policy, b, true, tel);
             }
         }
@@ -966,7 +914,7 @@ fn critic_step(
         return None;
     }
 
-    let cost_ab = pairwise_sq_dists_exec(&ea, &eb, cfg.exec);
+    let cost_ab = pairwise_sq_dists(&ea, &eb, cfg.exec);
     let lambda = cfg.resolve_lambda(&cost_ab);
     let opts = cfg.sinkhorn_options(lambda);
     let plain = |cost: &Matrix| {
@@ -974,8 +922,8 @@ fn critic_step(
             .ok()
             .map(|(r, _)| r)
     };
-    let cost_aa = pairwise_sq_dists_exec(&ea, &ea, cfg.exec);
-    let cost_bb = pairwise_sq_dists_exec(&eb, &eb, cfg.exec);
+    let cost_aa = pairwise_sq_dists(&ea, &ea, cfg.exec);
+    let cost_bb = pairwise_sq_dists(&eb, &eb, cfg.exec);
     let cross = plain(&cost_ab)?;
     let self_a = plain(&cost_aa)?;
     let self_b = plain(&cost_bb)?;
@@ -1007,8 +955,8 @@ fn critic_step(
     if !all_finite(&ea2) || !all_finite(&eb2) {
         return None;
     }
-    let cost2 = pairwise_sq_dists_exec(&ea2, &eb2, cfg.exec);
-    let cost2_aa = pairwise_sq_dists_exec(&ea2, &ea2, cfg.exec);
+    let cost2 = pairwise_sq_dists(&ea2, &eb2, cfg.exec);
+    let cost2_aa = pairwise_sq_dists(&ea2, &ea2, cfg.exec);
     let cross2 = plain(&cost2)?;
     let self_a2 = plain(&cost2_aa)?;
     let mut g_ea2 = cross_ot_grad(&ea2, &eb2, &ones_a, &cross2.plan(&cost2)).scale(2.0);
@@ -1032,6 +980,23 @@ mod tests {
     use scis_data::missing::inject_mcar;
     use scis_imputers::traits::impute_with_generator;
     use scis_imputers::GainImputer;
+
+    /// A plain guarded run: default guard, no hooks, telemetry off.
+    fn plain_train(
+        imp: &mut dyn AdversarialImputer,
+        ds: &Dataset,
+        cfg: &DimConfig,
+        rng: &mut Rng64,
+    ) -> Result<DimReport, TrainingError> {
+        train_dim(
+            imp,
+            ds,
+            cfg,
+            &TrainRun::default(),
+            &mut GuardStats::default(),
+            rng,
+        )
+    }
 
     fn correlated_table(n: usize, seed: u64) -> Matrix {
         let mut rng = Rng64::seed_from_u64(seed);
@@ -1070,7 +1035,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(2);
         let ds = inject_mcar(&complete, 0.25, &mut rng);
         let mut gain = GainImputer::new(fast_cfg().train);
-        let report = try_train_dim(&mut gain, &ds, &fast_cfg(), &mut rng).expect("dim training");
+        let report = plain_train(&mut gain, &ds, &fast_cfg(), &mut rng).expect("dim training");
         assert_eq!(report.epoch_losses.len(), 60);
         let first = report.epoch_losses[0];
         let last = report.final_loss();
@@ -1084,7 +1049,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(4);
         let ds = inject_mcar(&complete, 0.25, &mut rng);
         let mut gain = GainImputer::new(fast_cfg().train);
-        let _ = try_train_dim(&mut gain, &ds, &fast_cfg(), &mut rng).expect("dim training");
+        let _ = plain_train(&mut gain, &ds, &fast_cfg(), &mut rng).expect("dim training");
         let out = impute_with_generator(&mut gain, &ds, &mut rng);
         let e = rmse_vs_ground_truth(&ds, &complete, &out);
 
@@ -1106,7 +1071,7 @@ mod tests {
         cfg.train.epochs = 20;
         cfg.critic = Some(CriticConfig::default());
         let mut gain = GainImputer::new(cfg.train);
-        let report = try_train_dim(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
+        let report = plain_train(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
         assert!(report.final_loss().is_finite());
         let out = impute_with_generator(&mut gain, &ds, &mut rng);
         assert!(!out.has_nan());
@@ -1120,7 +1085,7 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.loss = GenerativeLoss::SlicedWasserstein { n_projections: 24 };
         let mut gain = GainImputer::new(cfg.train);
-        let report = try_train_dim(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
+        let report = plain_train(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
         assert!(report.final_loss().is_finite());
         let out = impute_with_generator(&mut gain, &ds, &mut rng);
         let e = rmse_vs_ground_truth(&ds, &complete, &out);
@@ -1152,9 +1117,6 @@ mod tests {
 
     #[test]
     fn accel_training_warm_starts_and_saves_iterations() {
-        use crate::error::TrainPhase;
-        use crate::guard::{GuardConfig, GuardStats};
-
         let complete = correlated_table(300, 31);
         let mut rng = Rng64::seed_from_u64(32);
         let ds = inject_mcar(&complete, 0.25, &mut rng);
@@ -1167,17 +1129,12 @@ mod tests {
             let mut stats = GuardStats::default();
             let tel = Telemetry::collecting();
             let cfg = cfg.accel(accel);
-            let report = train_dim_telemetered(
-                &mut gain,
-                &ds,
-                &cfg,
-                &GuardConfig::default(),
-                TrainPhase::Initial,
-                &mut stats,
-                &tel,
-                &mut rng,
-            )
-            .expect("training failed");
+            let run = TrainRun {
+                telemetry: tel.clone(),
+                ..TrainRun::default()
+            };
+            let report = train_dim(&mut gain, &ds, &cfg, &run, &mut stats, &mut rng)
+                .expect("training failed");
             (report, stats, tel)
         };
 
@@ -1212,9 +1169,6 @@ mod tests {
 
     #[test]
     fn warm_start_cache_matches_cold_training_and_saves_sweeps() {
-        use crate::error::TrainPhase;
-        use crate::guard::{GuardConfig, GuardStats};
-
         // a low-rank table trained full-batch, so every epoch re-solves the
         // same rows and warm-starts from the previous epoch's duals
         let (rows, d) = (60, 6);
@@ -1243,17 +1197,11 @@ mod tests {
             let mut stats = GuardStats::default();
             let tel = Telemetry::collecting();
             let mut rng = Rng64::seed_from_u64(23);
-            train_dim_telemetered(
-                &mut gain,
-                &ds,
-                &cfg,
-                &GuardConfig::default(),
-                TrainPhase::Initial,
-                &mut stats,
-                &tel,
-                &mut rng,
-            )
-            .expect("training failed");
+            let run = TrainRun {
+                telemetry: tel.clone(),
+                ..TrainRun::default()
+            };
+            train_dim(&mut gain, &ds, &cfg, &run, &mut stats, &mut rng).expect("training failed");
             (tel, impute_with_generator(&mut gain, &ds, &mut rng))
         };
 
@@ -1285,7 +1233,7 @@ mod tests {
         let mut cfg = fast_cfg().accel(AccelConfig::all());
         cfg.train.epochs = 15;
         let mut gain = GainImputer::new(cfg.train);
-        let report = try_train_dim(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
+        let report = plain_train(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
         assert_eq!(report.epoch_losses.len(), 15);
         let first = report.epoch_losses[0];
         let last = report.final_loss();
@@ -1302,10 +1250,10 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.train.epochs = 10;
         let mut gain = GainImputer::new(cfg.train);
-        let _ = try_train_dim(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
+        let _ = plain_train(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
         let theta_after_first =
             scis_imputers::AdversarialImputer::generator_mut(&mut gain).param_vector();
-        let _ = try_train_dim(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
+        let _ = plain_train(&mut gain, &ds, &cfg, &mut rng).expect("dim training");
         let theta_after_second =
             scis_imputers::AdversarialImputer::generator_mut(&mut gain).param_vector();
         assert_ne!(

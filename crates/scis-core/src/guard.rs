@@ -4,7 +4,7 @@
 //! Adversarial imputation training can destabilize — a bad batch drives the
 //! generator into a region where the Sinkhorn cost matrix overflows, losses
 //! go NaN, and every later epoch trains on garbage. The guarded trainer
-//! ([`crate::dim::train_dim_guarded`]) defends in three rings:
+//! ([`crate::dim::train_dim`]) defends in three rings:
 //!
 //! 1. **Batch ring** — a batch whose reconstruction, loss, or gradient is
 //!    non-finite is *skipped* (counted in

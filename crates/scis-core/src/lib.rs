@@ -41,10 +41,7 @@ pub mod report;
 pub mod sse;
 
 pub use checkpoint::{latest_checkpoint, CheckpointPolicy, TrainCheckpoint};
-pub use dim::{
-    train_dim_cached, train_dim_guarded, train_dim_resumable, train_dim_telemetered, try_train_dim,
-    AccelConfig, DimConfig, DimReport, TrainHooks,
-};
+pub use dim::{train_dim, AccelConfig, DimConfig, DimReport, TrainRun};
 pub use error::{FailureReason, ScisError, TrainPhase, TrainingError, POST_MORTEM_TAIL};
 pub use guard::{GuardConfig, GuardStats, TrainingGuard};
 pub use heartbeat::{HeartbeatHook, Progress};

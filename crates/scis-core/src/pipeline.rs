@@ -10,19 +10,19 @@
 //! ```
 
 use crate::checkpoint::{CheckpointPolicy, TrainCheckpoint};
-use crate::dim::{train_dim_resumable, AccelConfig, DimConfig, TrainHooks};
+use crate::dim::{phase_cache, train_dim, AccelConfig, DimConfig, TrainRun};
 use crate::error::{ScisError, TrainPhase, POST_MORTEM_TAIL};
 use crate::guard::{GuardConfig, GuardStats};
 use crate::heartbeat::{HeartbeatHook, Progress};
 use crate::report::RunReport;
-use crate::sse::{fisher_diagonal_cached, model_distance, SseConfig, SseEstimator, SseResult};
+use crate::sse::{fisher_diagonal, model_distance, SseConfig, SseEstimator, SseResult};
 use scis_data::shard::{observed_column_means, MemorySink, RowSource, ShardSink};
 use scis_data::split::{sample_initial_split_source, sample_training_set_source};
 use scis_data::validate::validate_source;
 use scis_data::Dataset;
 use scis_imputers::traits::impute_with_generator;
 use scis_imputers::AdversarialImputer;
-use scis_ot::{DualCache, SinkhornOptions};
+use scis_ot::SinkhornOptions;
 use scis_telemetry::{Event, RecordedEvent, SpanKind, Telemetry};
 use scis_tensor::{ExecPolicy, Matrix, Rng64, RunDeadline};
 use std::time::{Duration, Instant};
@@ -455,7 +455,13 @@ impl Scis {
             ..Default::default()
         };
         let guard = &self.config.guard;
-        let hooks = TrainHooks {
+        // one run context per phase: the phase tag and, for the initial
+        // phase, the shared dual cache differ; the rest is the run's
+        let run = |phase, cache| TrainRun {
+            guard: *guard,
+            phase,
+            telemetry: tel.clone(),
+            cache,
             checkpoint: self.checkpoint.as_ref(),
             resume: self.resume.as_ref(),
             deadline: self.deadline.clone(),
@@ -480,16 +486,12 @@ impl Scis {
         // The initial-phase cache is reused read-only by the SSE Fisher
         // probe, which iterates the same X0 rows (see `phase_cache`).
         let initial_cache = phase_cache(accel);
-        let initial = train_dim_resumable(
+        let initial = train_dim(
             imp,
             &split.initial,
             &self.config.dim,
-            guard,
-            TrainPhase::Initial,
+            &run(TrainPhase::Initial, Some(&initial_cache)),
             &mut guard_stats,
-            &tel,
-            &initial_cache,
-            &hooks,
             rng,
         );
         drop(span_initial);
@@ -549,7 +551,7 @@ impl Scis {
             // read-only reuse of the initial-phase duals: warm-starting the
             // probe's solves from the converged training potentials saves
             // iterations without writing probe-state duals back
-            let fisher = fisher_diagonal_cached(
+            let fisher = fisher_diagonal(
                 imp,
                 &split.initial,
                 &sinkhorn,
@@ -581,16 +583,12 @@ impl Scis {
                 let sibling_set = sample_training_set_source(src, n0, rng)?;
                 imp.init_networks(src.n_cols(), &mut Rng64::seed_from_u64(init_seed));
                 let mut sibling_stats = GuardStats::default();
-                let sibling = train_dim_resumable(
+                let sibling = train_dim(
                     imp,
                     &sibling_set,
                     &self.config.dim,
-                    guard,
-                    TrainPhase::Calibration,
+                    &run(TrainPhase::Calibration, None),
                     &mut sibling_stats,
-                    &tel,
-                    &phase_cache(accel),
-                    &hooks,
                     rng,
                 );
                 anomalies.absorb_guard(&sibling_stats);
@@ -631,16 +629,12 @@ impl Scis {
             let _span_retrain = tel.span(SpanKind::Retrain);
             let x_star = sample_training_set_source(src, sse.n_star, rng)?;
             let mut retrain_stats = GuardStats::default();
-            let retrain = train_dim_resumable(
+            let retrain = train_dim(
                 imp,
                 &x_star,
                 &self.config.dim,
-                guard,
-                TrainPhase::Retrain,
+                &run(TrainPhase::Retrain, None),
                 &mut retrain_stats,
-                &tel,
-                &phase_cache(accel),
-                &hooks,
                 rng,
             );
             anomalies.absorb_guard(&retrain_stats);
@@ -735,18 +729,6 @@ impl Scis {
             times,
             anomalies,
         ))
-    }
-}
-
-/// A fresh dual cache for one training phase. Each phase gets its *own*
-/// cache: entries are keyed by dataset-local row index, and the phases
-/// train on different row sets (X0, the sibling sample, X*), so sharing
-/// would alias unrelated rows.
-fn phase_cache(accel: AccelConfig) -> DualCache {
-    if accel.warm_start {
-        DualCache::enabled()
-    } else {
-        DualCache::off()
     }
 }
 

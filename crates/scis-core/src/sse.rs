@@ -226,60 +226,18 @@ impl SseResult {
 ///
 /// Only the *relative* structure of this diagonal matters — the absolute
 /// scale is fixed by [`SseEstimator`]'s probe normalization + calibration.
-pub fn fisher_diagonal(
-    imp: &mut dyn AdversarialImputer,
-    ds: &Dataset,
-    sinkhorn: &SinkhornOptions,
-    batch_size: usize,
-    rng: &mut Rng64,
-) -> Vec<f64> {
-    fisher_diagonal_tracked(
-        imp,
-        ds,
-        sinkhorn,
-        batch_size,
-        &EscalationPolicy::none(),
-        &Telemetry::off(),
-        rng,
-    )
-}
-
-/// [`fisher_diagonal`] with fault-tolerant Sinkhorn solves and telemetry:
-/// poisoned batches are *skipped* instead of panicking deep inside the
+///
+/// Poisoned batches are *skipped* instead of panicking deep inside the
 /// solver, non-converged solves are escalated per `policy`, and the solve
-/// accounting is recorded on `tel`. With [`EscalationPolicy::none`] the
-/// per-batch numerics are identical to the historical plain-solve path.
-pub fn fisher_diagonal_tracked(
-    imp: &mut dyn AdversarialImputer,
-    ds: &Dataset,
-    sinkhorn: &SinkhornOptions,
-    batch_size: usize,
-    policy: &EscalationPolicy,
-    tel: &Telemetry,
-    rng: &mut Rng64,
-) -> Vec<f64> {
-    fisher_diagonal_cached(
-        imp,
-        ds,
-        sinkhorn,
-        batch_size,
-        policy,
-        tel,
-        &DualCache::off(),
-        crate::dim::AccelConfig::default(),
-        rng,
-    )
-}
-
-/// [`fisher_diagonal_tracked`] with hot-path acceleration: Sinkhorn solves
-/// may warm-start from `cache` (read-only — the Fisher probe operates on
-/// perturbed parameters, so its duals are *not* written back and cannot
-/// pollute the training-epoch entries), and the batch cost matrix may be
-/// built with the decomposed GEMM kernel. With `DualCache::off()` and the
-/// default [`crate::dim::AccelConfig`] every solve runs cold on the loop
-/// cost kernel, as [`fisher_diagonal_tracked`] does.
+/// accounting is recorded on `tel`. Sinkhorn solves may warm-start from
+/// `cache` (read-only — the probe operates on perturbed parameters, so its
+/// duals are *not* written back and cannot pollute the training-epoch
+/// entries), and the batch cost matrix may be built with the decomposed
+/// GEMM kernel per `accel`. With [`EscalationPolicy::none`],
+/// [`DualCache::off`] and the default [`crate::dim::AccelConfig`] every
+/// solve runs once, cold, on the loop cost kernel.
 #[allow(clippy::too_many_arguments)]
-pub fn fisher_diagonal_cached(
+pub fn fisher_diagonal(
     imp: &mut dyn AdversarialImputer,
     ds: &Dataset,
     sinkhorn: &SinkhornOptions,
@@ -703,7 +661,17 @@ mod tests {
             tol: 1e-7,
             ..Default::default()
         };
-        fisher_diagonal(gain, ds, &opts, 64, rng)
+        fisher_diagonal(
+            gain,
+            ds,
+            &opts,
+            64,
+            &EscalationPolicy::none(),
+            &Telemetry::off(),
+            &DualCache::off(),
+            crate::dim::AccelConfig::default(),
+            rng,
+        )
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! binned into ordinal levels.
 
 use crate::dataset::ColumnKind;
-use scis_tensor::ops::matmul;
-use scis_tensor::{Matrix, Rng64};
+use scis_tensor::ops::{gemm, Op};
+use scis_tensor::{ExecPolicy, Matrix, Precision, Rng64};
 
 /// Configuration of the latent-factor generator.
 #[derive(Debug, Clone)]
@@ -75,8 +75,9 @@ pub fn generate(cfg: &SynthConfig, rng: &mut Rng64) -> SynthData {
     let w2 = Matrix::from_fn(hidden, d, |_, _| {
         rng.normal_with(0.0, 1.0 / (hidden as f64).sqrt())
     });
-    let h = matmul(&z, &w1).map(f64::tanh);
-    let mut x = matmul(&h, &w2);
+    let product = |a: &Matrix, b: &Matrix| gemm(a, Op::Nn, b, ExecPolicy::Serial, Precision::F64);
+    let h = product(&z, &w1).map(f64::tanh);
+    let mut x = product(&h, &w2);
     if cfg.noise_std > 0.0 {
         for v in x.as_mut_slice() {
             *v += rng.normal_with(0.0, cfg.noise_std);

@@ -4,7 +4,7 @@
 //! the calling convention is strict: one `backward` per `forward`, in reverse
 //! order — exactly what [`crate::mlp::Mlp`] enforces.
 
-use scis_tensor::par::{matmul_at_exec_p, matmul_bt_exec_p, matmul_exec_p};
+use scis_tensor::ops::{gemm, Op};
 use scis_tensor::{ExecPolicy, Matrix, Precision, Rng64};
 
 /// Forward-pass mode: training enables dropout, evaluation disables it.
@@ -109,7 +109,7 @@ impl Layer for Dense {
             self.weight.rows()
         );
         self.cached_input = Some(x.clone());
-        matmul_exec_p(x, &self.weight, self.exec, self.precision).add_row_broadcast(&self.bias)
+        gemm(x, Op::Nn, &self.weight, self.exec, self.precision).add_row_broadcast(&self.bias)
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
@@ -118,12 +118,12 @@ impl Layer for Dense {
             .as_ref()
             .expect("Dense::backward called before forward");
         // dW += xᵀ · grad_out ; db += column sums ; dx = grad_out · Wᵀ
-        let gw = matmul_at_exec_p(x, grad_out, self.exec, self.precision);
+        let gw = gemm(x, Op::Tn, grad_out, self.exec, self.precision);
         self.grad_w.axpy(1.0, &gw);
         for (b, s) in self.grad_b.iter_mut().zip(grad_out.col_sums()) {
             *b += s;
         }
-        matmul_bt_exec_p(grad_out, &self.weight, self.exec, self.precision)
+        gemm(grad_out, Op::Nt, &self.weight, self.exec, self.precision)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {

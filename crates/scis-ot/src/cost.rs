@@ -1,7 +1,7 @@
 //! Masked squared-Euclidean cost matrices (paper Definition 2).
 
 use scis_tensor::linalg::{row_sq_norms, sq_dists_from_gram};
-use scis_tensor::par::{matmul_bt_exec_p, pairwise_sq_dists_exec};
+use scis_tensor::ops::{gemm, pairwise_sq_dists, Op};
 use scis_tensor::Precision;
 use scis_tensor::{ExecPolicy, Matrix};
 
@@ -44,7 +44,7 @@ pub fn masked_sq_cost_with(
     // squared distance.
     let am = a.hadamard(ma);
     let bm = b.hadamard(mb);
-    pairwise_sq_dists_exec(&am, &bm, exec)
+    pairwise_sq_dists(&am, &bm, exec)
 }
 
 /// Pre-masked rows of one side of a masked cost, plus their squared norms.
@@ -111,7 +111,7 @@ pub fn masked_sq_cost_decomposed_p(
         b.rows.cols(),
         "masked_sq_cost_decomposed: feature dim mismatch"
     );
-    let gram = matmul_bt_exec_p(&a.rows, &b.rows, exec, precision);
+    let gram = gemm(&a.rows, Op::Nt, &b.rows, exec, precision);
     sq_dists_from_gram(gram, &a.sq_norms, &b.sq_norms, exec)
 }
 

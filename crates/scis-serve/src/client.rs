@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP client — just enough to exercise the server
-//! from tests, CI smoke jobs, and the `serve_bench` load generator without
-//! pulling in a dependency. One request per connection, mirroring the
+//! from tests, CI smoke jobs, and `loadbench` without pulling in a
+//! dependency. One request per connection, mirroring the
 //! server's `Connection: close` behavior.
 
 use std::io::{Read, Write};

@@ -96,6 +96,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -234,17 +235,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return self.err("control character in string"),
                 Some(_) => {
-                    // copy the full UTF-8 scalar starting here
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError {
-                            offset: self.pos,
-                            message: "invalid utf-8".into(),
-                        })?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    out.push(s);
-                    self.pos += s.len_utf8();
+                    // copy the whole run of plain characters at once; it
+                    // ends at an ASCII byte (quote, backslash, control), so
+                    // on a char boundary of the `&str` input
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -307,6 +306,7 @@ impl<'a> Parser<'a> {
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };

@@ -10,11 +10,14 @@
 //!
 //! # Modules
 //! * [`matrix`] — the dense row-major `f64` matrix with shape-checked ops.
-//! * [`ops`] — matrix multiplication kernels (naive + blocked) and
-//!   broadcast helpers.
+//! * [`ops`] — the one GEMM entry point [`ops::gemm`] (three operand
+//!   layouts, two precisions, any [`ExecPolicy`], bit-identical at every
+//!   thread count), its naive oracle [`ops::gemm_naive`], and
+//!   [`ops::pairwise_sq_dists`].
 //! * [`exec`] — the [`ExecPolicy`] execution-policy type and the
 //!   deterministic row-block parallel helpers.
-//! * [`par`] — policy-aware scoped-thread kernels (bit-identical to serial).
+//! * [`par`] — `matmul_bt_exec_p`, a one-line `A · Bᵀ` wrapper over
+//!   [`ops::gemm`].
 //! * [`fastmath`] — the opt-in compute [`Precision`] mode (`f32` storage,
 //!   `f64` accumulation) and the polynomial `fast_exp` used by the
 //!   accelerated Sinkhorn sweeps.

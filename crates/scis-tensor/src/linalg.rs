@@ -6,9 +6,9 @@
 //! general path.
 
 use crate::exec::{for_row_spans, ExecPolicy};
+use crate::fastmath::Precision;
 use crate::matrix::Matrix;
-use crate::ops::{matmul_at, matvec};
-use crate::par::PAR_MIN_WORK;
+use crate::ops::{gemm, matvec, Op, PAR_MIN_WORK};
 
 /// Error type for factorization failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,12 +100,13 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 pub fn ridge_fit(x: &Matrix, y: &[f64], ridge: f64) -> Result<Vec<f64>, LinalgError> {
     assert_eq!(x.rows(), y.len(), "ridge_fit: sample count mismatch");
     assert!(ridge >= 0.0, "ridge_fit: negative ridge");
-    let mut gram = matmul_at(x, x);
+    let xt_times = |b: &Matrix| gemm(x, Op::Tn, b, ExecPolicy::Serial, Precision::F64);
+    let mut gram = xt_times(x);
     for i in 0..gram.rows() {
         gram[(i, i)] += ridge;
     }
     let ym = Matrix::from_vec(y.len(), 1, y.to_vec());
-    let xty = matmul_at(x, &ym);
+    let xty = xt_times(&ym);
     solve_spd(&gram, xty.as_slice())
 }
 
@@ -176,7 +177,7 @@ pub fn row_sq_norms(m: &Matrix) -> Vec<f64> {
 /// norms: `D[i][j] = max(an[i] + bn[j] − 2·gram[i][j], 0)`.
 ///
 /// `gram` must be the `a·bᵀ` inner-product matrix (e.g. from
-/// [`crate::par::matmul_bt_exec`]); `an`/`bn` the corresponding
+/// [`gemm`] with [`Op::Nt`]); `an`/`bn` the corresponding
 /// [`row_sq_norms`]. The clamp at zero guards against small negative values
 /// from catastrophic cancellation when `aᵢ ≈ bⱼ`.
 ///
@@ -219,12 +220,15 @@ pub fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::matmul;
     use crate::rng::Rng64;
+
+    fn serial(a: &Matrix, op: Op, b: &Matrix) -> Matrix {
+        gemm(a, op, b, ExecPolicy::Serial, Precision::F64)
+    }
 
     fn random_spd(n: usize, rng: &mut Rng64) -> Matrix {
         let b = Matrix::from_fn(n, n, |_, _| rng.normal());
-        let mut a = matmul_at(&b, &b);
+        let mut a = serial(&b, Op::Tn, &b);
         for i in 0..n {
             a[(i, i)] += n as f64; // well-conditioned
         }
@@ -236,7 +240,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(1);
         let a = random_spd(6, &mut rng);
         let l = cholesky(&a).unwrap();
-        let llt = matmul(&l, &l.transpose());
+        let llt = serial(&l, Op::Nn, &l.transpose());
         for (x, y) in a.as_slice().iter().zip(llt.as_slice()) {
             assert!((x - y).abs() < 1e-9, "{} vs {}", x, y);
         }
@@ -305,7 +309,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(5);
         let a = Matrix::from_fn(7, 4, |_, _| rng.normal());
         let b = Matrix::from_fn(5, 4, |_, _| rng.normal());
-        let gram = crate::par::matmul_bt_exec(&a, &b, crate::ExecPolicy::Serial);
+        let gram = serial(&a, Op::Nt, &b);
         let d = sq_dists_from_gram(
             gram,
             &row_sq_norms(&a),
@@ -337,7 +341,7 @@ mod tests {
         // identical rows: exact distance 0; the decomposition may produce a
         // tiny negative before the clamp
         let a = Matrix::from_rows(&[&[1e8, -1e8, 3.0]]);
-        let gram = crate::par::matmul_bt_exec(&a, &a, crate::ExecPolicy::Serial);
+        let gram = serial(&a, Op::Nt, &a);
         let n = row_sq_norms(&a);
         let d = sq_dists_from_gram(gram, &n, &n, ExecPolicy::Serial);
         assert!(d[(0, 0)] >= 0.0);
@@ -350,7 +354,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(6);
         let a = Matrix::from_fn(800, 3, |_, _| rng.normal());
         let b = Matrix::from_fn(700, 3, |_, _| rng.normal());
-        let gram = crate::par::matmul_bt_exec(&a, &b, crate::ExecPolicy::Serial);
+        let gram = serial(&a, Op::Nt, &b);
         let (an, bn) = (row_sq_norms(&a), row_sq_norms(&b));
         // the per-cell expression, written out as the reference
         let want = Matrix::from_fn(800, 700, |i, j| {

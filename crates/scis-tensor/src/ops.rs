@@ -2,21 +2,27 @@
 //!
 //! The hot loops of the reproduction are (a) GEMM inside the neural nets and
 //! (b) pairwise squared distances inside Sinkhorn cost matrices and kNN. Both
-//! live here. The GEMM kernels are register-tiled: a 4×4 (or 1×4) block of
-//! the output is held in explicit scalar accumulators across the full inner
-//! dimension, so the CPU overlaps multiplies across independent chains and
-//! the compiler can keep the tile in vector registers.
+//! live here, each behind one entry point: [`gemm`] for the three operand
+//! layouts in use ([`Op::Nn`], [`Op::Nt`], [`Op::Tn`]) at either
+//! [`Precision`], and [`pairwise_sq_dists`]. Both take an [`ExecPolicy`] and
+//! partition *output rows* across scoped workers once the product clears
+//! [`PAR_MIN_WORK`]; below it they run on the calling thread so per-batch NN
+//! products do not pay thread-spawn overhead.
+//!
+//! The GEMM kernels are register-tiled: a 4×4 (or 1×4) block of the output
+//! is held in explicit scalar accumulators across the full inner dimension,
+//! so the CPU overlaps multiplies across independent chains and the
+//! compiler can keep the tile in vector registers.
 //!
 //! # Determinism rules (load-bearing — see DESIGN.md §16)
 //!
 //! Every output element is produced by **one accumulator chain in ascending
-//! inner-index order** (for [`matmul`]/[`matmul_at`]) or by the fixed 4-lane
-//! pattern of [`dot`] (for [`matmul_bt`]). Tiling only changes *which
-//! elements are in flight together*, never the order of adds within an
-//! element, so the blocked kernels are bit-identical to the naive reference
-//! loops ([`matmul_naive`] and friends) and to any row partition of
-//! themselves — which is what lets the parallel wrappers in [`crate::par`]
-//! promise bit-equality at every thread count.
+//! inner-index order** (for [`Op::Nn`]/[`Op::Tn`]) or by the fixed 4-lane
+//! pattern of [`dot`] (for [`Op::Nt`]). Tiling only changes *which elements
+//! are in flight together*, never the order of adds within an element, so
+//! the blocked kernels are bit-identical to the naive reference loops of
+//! [`gemm_naive`] and to any row partition of themselves — which is what
+//! lets [`gemm`] promise bit-equality at every thread count.
 //!
 //! There is deliberately **no zero-skip** in any kernel: the historical
 //! `if av == 0.0 { continue; }` fast path silently dropped `0.0 × NaN` and
@@ -26,9 +32,12 @@
 //! through adds), so removing the skip changed no finite result.
 //!
 //! The kernels are generic over the storage scalar: `f64` (default path) or
-//! `f32` (opt-in compute mode, operands rounded once and widened back per
-//! multiply — accumulators are always `f64`; see [`crate::fastmath`]).
+//! `f32` ([`Precision::F32`]: operands rounded once and widened back per
+//! multiply — accumulators are always `f64`; see [`crate::fastmath`]), which
+//! keeps the across-thread bit-equality contract *within* a precision mode.
 
+use crate::exec::{for_each_row, for_row_spans, ExecPolicy};
+use crate::fastmath::Precision;
 use crate::matrix::Matrix;
 
 /// Storage scalar of a GEMM operand: `f64` (default) or `f32` (accel mode).
@@ -52,6 +61,11 @@ impl Scalar for f32 {
     }
 }
 
+/// Minimum number of inner-loop scalar operations (`m · k · n` for GEMM,
+/// `m · n · d` for pairwise distances) before a kernel goes parallel.
+/// Below this the thread-spawn cost dominates any speedup.
+pub const PAR_MIN_WORK: usize = 1 << 19;
+
 /// Rows per register tile.
 const MR: usize = 4;
 /// Columns per register tile.
@@ -68,14 +82,7 @@ pub fn to_f32_vec(m: &Matrix) -> Vec<f32> {
 /// Each output element is one `f64` accumulator filled in ascending-`p`
 /// order, so any row partition of this kernel is bit-identical to the
 /// full-range call.
-pub(crate) fn gemm_nn_span<T: Scalar>(
-    a: &[T],
-    k: usize,
-    b: &[T],
-    n: usize,
-    r0: usize,
-    out: &mut [f64],
-) {
+fn gemm_nn_span<T: Scalar>(a: &[T], k: usize, b: &[T], n: usize, r0: usize, out: &mut [f64]) {
     if n == 0 {
         return;
     }
@@ -141,14 +148,7 @@ pub(crate) fn gemm_nn_span<T: Scalar>(
 ///
 /// Every output element uses exactly the 4-lane + tail pattern of [`dot`],
 /// so the tiled kernel is bit-identical to calling `dot` per element.
-pub(crate) fn gemm_nt_span<T: Scalar>(
-    a: &[T],
-    k: usize,
-    b: &[T],
-    n: usize,
-    r0: usize,
-    out: &mut [f64],
-) {
+fn gemm_nt_span<T: Scalar>(a: &[T], k: usize, b: &[T], n: usize, r0: usize, out: &mut [f64]) {
     if n == 0 {
         return;
     }
@@ -195,7 +195,7 @@ pub(crate) fn gemm_nt_span<T: Scalar>(
             jb += NR;
         }
         for (j, o) in orow.iter_mut().enumerate().skip(jb) {
-            *o = dot_wide(arow, &b[j * k..][..k]);
+            *o = dot(arow, &b[j * k..][..k]);
         }
     }
 }
@@ -207,7 +207,7 @@ pub(crate) fn gemm_nt_span<T: Scalar>(
 /// Each output element is one `f64` accumulator filled in ascending-`p`
 /// order — the same chain as the historical `p`-outer serial loop, minus
 /// the NaN-masking zero-skip.
-pub(crate) fn gemm_tn_span<T: Scalar>(
+fn gemm_tn_span<T: Scalar>(
     a: &[T],
     am: usize,
     b: &[T],
@@ -272,114 +272,124 @@ pub(crate) fn gemm_tn_span<T: Scalar>(
     }
 }
 
-/// `A · B` for `A: m x k`, `B: k x n` (register-tiled).
+/// Operand layout of a [`gemm`]: which side is read transposed. The
+/// transposed operand is never materialized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Op {
+    /// `A · B` for `A: m×k`, `B: k×n`.
+    Nn,
+    /// `A · Bᵀ` for `A: m×k`, `B: n×k`; per element identical to [`dot`].
+    Nt,
+    /// `Aᵀ · B` for `A: k×m`, `B: k×n`.
+    Tn,
+}
+
+impl Op {
+    /// `(m, k, n)` of the product.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions disagree.
+    fn dims(self, a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
+        let (m, k, kb, n) = match self {
+            Op::Nn => (a.rows(), a.cols(), b.rows(), b.cols()),
+            Op::Nt => (a.rows(), a.cols(), b.cols(), b.rows()),
+            Op::Tn => (a.cols(), a.rows(), b.rows(), b.cols()),
+        };
+        assert_eq!(
+            k,
+            kb,
+            "gemm {:?}: inner dimension mismatch {:?} · {:?}",
+            self,
+            a.shape(),
+            b.shape()
+        );
+        (m, k, n)
+    }
+}
+
+/// The product `op(A, B)` (register-tiled). Under [`Precision::F32`] the
+/// operands are rounded to `f32` storage once and the same kernels run over
+/// the converted buffers with `f64` accumulators.
+///
+/// Products of at least [`PAR_MIN_WORK`] multiply-adds are split into
+/// contiguous output-row spans, one per worker of `exec`; each element's
+/// accumulation chain lives inside its own row, so the result is
+/// bit-identical at every thread count and to [`gemm_naive`] under
+/// [`Precision::F64`].
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul: inner dimension mismatch {:?} · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+pub fn gemm(a: &Matrix, op: Op, b: &Matrix, exec: ExecPolicy, precision: Precision) -> Matrix {
+    let (m, k, n) = op.dims(a, b);
+    let threads = if n == 0 || m * k * n < PAR_MIN_WORK {
+        1
+    } else {
+        exec.workers(m)
+    };
     let mut out = Matrix::zeros(m, n);
-    gemm_nn_span(a.as_slice(), k, b.as_slice(), n, 0, out.as_mut_slice());
-    out
-}
-
-/// `A · B` with `f32` operand storage and `f64` accumulation (accel mode).
-pub fn matmul_f32(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_f32: inner dimension mismatch {:?} · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let (af, bf) = (to_f32_vec(a), to_f32_vec(b));
-    let mut out = Matrix::zeros(m, n);
-    gemm_nn_span(&af, k, &bf, n, 0, out.as_mut_slice());
-    out
-}
-
-/// Naive reference `A · B`: the plain `ikj` loop nest, one accumulator per
-/// element in ascending-`p` order. Kept as the bit-exact oracle the blocked
-/// kernel is tested against.
-pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_naive: inner dimension mismatch {:?} · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        for (p, &av) in arow.iter().enumerate() {
-            let brow = b.row(p);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
+    let dims = (m, k, n);
+    match precision {
+        Precision::F64 => gemm_spans(a.as_slice(), op, b.as_slice(), dims, threads, &mut out),
+        Precision::F32 => gemm_spans(&to_f32_vec(a), op, &to_f32_vec(b), dims, threads, &mut out),
     }
     out
 }
 
-/// `A · Bᵀ` for `A: m x k`, `B: n x k`, without materializing `Bᵀ`
-/// (register-tiled; per element identical to [`dot`]).
-pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_bt: inner dimension mismatch {:?} · {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let mut out = Matrix::zeros(m, n);
-    gemm_nt_span(a.as_slice(), k, b.as_slice(), n, 0, out.as_mut_slice());
-    out
+/// Runs the span kernel of `op` over `threads` row spans of `out`.
+fn gemm_spans<T: Scalar>(
+    a: &[T],
+    op: Op,
+    b: &[T],
+    (m, k, n): (usize, usize, usize),
+    threads: usize,
+    out: &mut Matrix,
+) {
+    for_row_spans(out.as_mut_slice(), n.max(1), threads, |r0, span| match op {
+        Op::Nn => gemm_nn_span(a, k, b, n, r0, span),
+        Op::Nt => gemm_nt_span(a, k, b, n, r0, span),
+        Op::Tn => gemm_tn_span(a, m, b, n, k, r0, span),
+    });
 }
 
-/// `A · Bᵀ` with `f32` operand storage and `f64` accumulation (accel mode).
-pub fn matmul_bt_f32(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_bt_f32: inner dimension mismatch {:?} · {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let (af, bf) = (to_f32_vec(a), to_f32_vec(b));
+/// Naive reference `op(A, B)`, serial and untiled: the plain `ikj` nest for
+/// [`Op::Nn`], [`dot`] per element for [`Op::Nt`] and the `p`-outer nest for
+/// [`Op::Tn`], one accumulator per element in ascending inner-index order
+/// and no zero-skip. Kept as the bit-exact oracle the blocked kernels are
+/// tested against.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+pub fn gemm_naive(a: &Matrix, op: Op, b: &Matrix) -> Matrix {
+    let (m, _, n) = op.dims(a, b);
     let mut out = Matrix::zeros(m, n);
-    gemm_nt_span(&af, k, &bf, n, 0, out.as_mut_slice());
-    out
-}
-
-/// Naive reference `A · Bᵀ`: [`dot`] per output element, no tiling.
-pub fn matmul_bt_naive(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_bt_naive: inner dimension mismatch {:?} · {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let (m, n) = (a.rows(), b.rows());
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = dot(arow, b.row(j));
+    match op {
+        Op::Nn => {
+            for i in 0..m {
+                let orow = out.row_mut(i);
+                for (p, &av) in a.row(i).iter().enumerate() {
+                    for (o, &bv) in orow.iter_mut().zip(b.row(p)) {
+                        *o += av * bv;
+                    }
+                }
+            }
+        }
+        Op::Nt => {
+            for i in 0..m {
+                let arow = a.row(i);
+                for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+                    *o = dot(arow, b.row(j));
+                }
+            }
+        }
+        Op::Tn => {
+            for p in 0..a.rows() {
+                let brow = b.row(p);
+                for (i, &av) in a.row(p).iter().enumerate() {
+                    for (o, &bv) in out.row_mut(i).iter_mut().zip(brow) {
+                        *o += av * bv;
+                    }
+                }
+            }
         }
     }
     out
@@ -390,15 +400,10 @@ pub fn matmul_bt_naive(a: &Matrix, b: &Matrix) -> Matrix {
 /// lets the CPU overlap the multiplies, which is what makes the decomposed
 /// Gram-based cost kernel faster than the subtract-square loop it replaces.
 /// The accumulation order is fixed (lanes then tail), so results are
-/// bit-identical for any thread count.
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    dot_wide(x, y)
-}
-
-/// [`dot`], generic over the storage scalar (accumulation stays `f64` with
-/// the identical lane-then-tail combine order).
+/// bit-identical for any thread count. Generic over the storage scalar;
+/// accumulation is always `f64`.
 #[inline]
-pub(crate) fn dot_wide<T: Scalar>(x: &[T], y: &[T]) -> f64 {
+pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     let mut lanes = [0.0f64; 4];
     let xc = x.chunks_exact(4);
@@ -416,68 +421,6 @@ pub(crate) fn dot_wide<T: Scalar>(x: &[T], y: &[T]) -> f64 {
         tail += a.w() * b.w();
     }
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
-}
-
-/// `Aᵀ · B` for `A: k x m`, `B: k x n`, without materializing `Aᵀ`
-/// (register-tiled).
-///
-/// Unlike the historical kernel, zero entries of `A` are *not* skipped, so
-/// `0 × NaN` / `0 × inf` correctly poison the output instead of being
-/// silently dropped (the PR 1 NaN-guard contract).
-pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_at: inner dimension mismatch {:?}ᵀ · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.cols(), a.rows(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    gemm_tn_span(a.as_slice(), m, b.as_slice(), n, k, 0, out.as_mut_slice());
-    out
-}
-
-/// `Aᵀ · B` with `f32` operand storage and `f64` accumulation (accel mode).
-pub fn matmul_at_f32(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_at_f32: inner dimension mismatch {:?}ᵀ · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.cols(), a.rows(), b.cols());
-    let (af, bf) = (to_f32_vec(a), to_f32_vec(b));
-    let mut out = Matrix::zeros(m, n);
-    gemm_tn_span(&af, m, &bf, n, k, 0, out.as_mut_slice());
-    out
-}
-
-/// Naive reference `Aᵀ · B`: the plain `p`-outer loop nest, one accumulator
-/// per element in ascending-`p` order, no zero-skip.
-pub fn matmul_at_naive(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_at_naive: inner dimension mismatch {:?}ᵀ · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, n) = (a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    for p in 0..a.rows() {
-        let arow = a.row(p);
-        let brow = b.row(p);
-        for (i, &av) in arow.iter().enumerate() {
-            let orow = out.row_mut(i);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    let _ = (m, n);
-    out
 }
 
 /// Matrix-vector product `A · v`.
@@ -501,21 +444,31 @@ pub fn sq_dist(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// All-pairs squared distances: `D[i][j] = ||a_i - b_j||²` for row sets
-/// `a: m x d`, `b: n x d`.
-pub fn pairwise_sq_dists(a: &Matrix, b: &Matrix) -> Matrix {
+/// `a: m x d`, `b: n x d`, via [`sq_dist`] per element. Goes parallel over
+/// output rows under `exec` once `m · n · d` reaches [`PAR_MIN_WORK`];
+/// bit-identical at every thread count.
+pub fn pairwise_sq_dists(a: &Matrix, b: &Matrix, exec: ExecPolicy) -> Matrix {
     assert_eq!(
         a.cols(),
         b.cols(),
         "pairwise_sq_dists: feature dim mismatch"
     );
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    for i in 0..a.rows() {
+    let (m, n, d) = (a.rows(), b.rows(), a.cols());
+    let mut out = Matrix::zeros(m, n);
+    if n == 0 {
+        return out;
+    }
+    let threads = if m * n * d.max(1) < PAR_MIN_WORK {
+        1
+    } else {
+        exec.workers(m)
+    };
+    for_each_row(out.as_mut_slice(), n, threads, |i, orow| {
         let arow = a.row(i);
-        let orow = out.row_mut(i);
         for (j, o) in orow.iter_mut().enumerate() {
             *o = sq_dist(arow, b.row(j));
         }
-    }
+    });
     out
 }
 
@@ -523,6 +476,8 @@ pub fn pairwise_sq_dists(a: &Matrix, b: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::rng::Rng64;
+
+    const OPS: [Op; 3] = [Op::Nn, Op::Nt, Op::Tn];
 
     fn approx_eq(a: &Matrix, b: &Matrix, tol: f64) -> bool {
         a.shape() == b.shape()
@@ -532,19 +487,34 @@ mod tests {
                 .all(|(x, y)| (x - y).abs() <= tol)
     }
 
+    /// Serial `f64` product — the reference every other call is held to.
+    fn serial(a: &Matrix, op: Op, b: &Matrix) -> Matrix {
+        gemm(a, op, b, ExecPolicy::Serial, Precision::F64)
+    }
+
+    /// Random operands of `op` for an `m×k · k×n` product.
+    fn operands(op: Op, (m, k, n): (usize, usize, usize), rng: &mut Rng64) -> (Matrix, Matrix) {
+        let (ar, ac) = if op == Op::Tn { (k, m) } else { (m, k) };
+        let (br, bc) = if op == Op::Nt { (n, k) } else { (k, n) };
+        (
+            Matrix::from_fn(ar, ac, |_, _| rng.normal()),
+            Matrix::from_fn(br, bc, |_, _| rng.normal()),
+        )
+    }
+
     #[test]
     fn matmul_known_values() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = matmul(&a, &b);
+        let c = serial(&a, Op::Nn, &b);
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]
     fn identity_is_neutral() {
         let a = Matrix::from_fn(4, 4, |i, j| (i * 3 + j) as f64);
-        assert!(approx_eq(&matmul(&a, &Matrix::eye(4)), &a, 1e-12));
-        assert!(approx_eq(&matmul(&Matrix::eye(4), &a), &a, 1e-12));
+        assert!(approx_eq(&serial(&a, Op::Nn, &Matrix::eye(4)), &a, 1e-12));
+        assert!(approx_eq(&serial(&Matrix::eye(4), Op::Nn, &a), &a, 1e-12));
     }
 
     #[test]
@@ -552,16 +522,16 @@ mod tests {
         let a = Matrix::from_fn(3, 5, |i, j| (i as f64 - 0.3 * j as f64).sin());
         let b = Matrix::from_fn(4, 5, |i, j| (0.7 * i as f64 + j as f64).cos());
         assert!(approx_eq(
-            &matmul_bt(&a, &b),
-            &matmul(&a, &b.transpose()),
+            &serial(&a, Op::Nt, &b),
+            &serial(&a, Op::Nn, &b.transpose()),
             1e-12
         ));
 
         let c = Matrix::from_fn(5, 3, |i, j| (i + 2 * j) as f64 * 0.1);
         let d = Matrix::from_fn(5, 4, |i, j| (2 * i + j) as f64 * 0.2);
         assert!(approx_eq(
-            &matmul_at(&c, &d),
-            &matmul(&c.transpose(), &d),
+            &serial(&c, Op::Tn, &d),
+            &serial(&c.transpose(), Op::Nn, &d),
             1e-12
         ));
     }
@@ -583,19 +553,23 @@ mod tests {
         ] {
             let a = Matrix::from_fn(m, k, |_, _| rng.normal());
             let b = Matrix::from_fn(k, n, |_, _| rng.normal());
-            assert_eq!(matmul(&a, &b), matmul_naive(&a, &b), "matmul {m}x{k}x{n}");
+            assert_eq!(
+                serial(&a, Op::Nn, &b),
+                gemm_naive(&a, Op::Nn, &b),
+                "Nn {m}x{k}x{n}"
+            );
             let bt = Matrix::from_fn(n, k, |_, _| rng.normal());
             assert_eq!(
-                matmul_bt(&a, &bt),
-                matmul_bt_naive(&a, &bt),
-                "matmul_bt {m}x{k}x{n}"
+                serial(&a, Op::Nt, &bt),
+                gemm_naive(&a, Op::Nt, &bt),
+                "Nt {m}x{k}x{n}"
             );
             let at = Matrix::from_fn(k, m, |_, _| rng.normal());
             let bn = Matrix::from_fn(k, n, |_, _| rng.normal());
             assert_eq!(
-                matmul_at(&at, &bn),
-                matmul_at_naive(&at, &bn),
-                "matmul_at {m}x{k}x{n}"
+                serial(&at, Op::Tn, &bn),
+                gemm_naive(&at, Op::Tn, &bn),
+                "Tn {m}x{k}x{n}"
             );
         }
     }
@@ -609,27 +583,27 @@ mod tests {
         a[(0, 0)] = 1.0;
         let mut b = Matrix::from_fn(4, 3, |i, j| (i + j) as f64);
         b[(2, 1)] = f64::NAN;
-        let c = matmul(&a, &b);
+        let c = serial(&a, Op::Nn, &b);
         // every output in column 1 touches B[2][1] via some a[i][2] (all 0.0)
         for i in 0..3 {
             assert!(c[(i, 1)].is_nan(), "row {i} lost the 0·NaN poison");
         }
         assert!(c[(0, 0)].is_finite());
 
-        // matmul_at: NaN in B against an all-zero column of A
+        // Tn: NaN in B against an all-zero column of A
         let at = Matrix::zeros(4, 3);
         let mut bn = Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
         bn[(1, 0)] = f64::INFINITY;
-        let cat = matmul_at(&at, &bn);
+        let cat = serial(&at, Op::Tn, &bn);
         for i in 0..3 {
             assert!(cat[(i, 0)].is_nan(), "0·inf must produce NaN, row {i}");
         }
 
-        // matmul_bt goes through dot(), which never skipped zeros — pin it
+        // Nt goes through dot(), which never skipped zeros — pin it
         let za = Matrix::zeros(2, 5);
         let mut zb = Matrix::from_fn(3, 5, |_, _| 1.0);
         zb[(1, 4)] = f64::NAN;
-        let cbt = matmul_bt(&za, &zb);
+        let cbt = serial(&za, Op::Nt, &zb);
         assert!(cbt[(0, 1)].is_nan());
         assert!(cbt[(0, 0)] == 0.0);
     }
@@ -637,42 +611,133 @@ mod tests {
     #[test]
     fn f32_kernels_match_f64_within_operand_rounding() {
         let mut rng = Rng64::seed_from_u64(52);
+        let f32_gemm =
+            |a: &Matrix, op, b: &Matrix| gemm(a, op, b, ExecPolicy::Serial, Precision::F32);
         let a = Matrix::from_fn(9, 14, |_, _| rng.normal());
         let b = Matrix::from_fn(14, 7, |_, _| rng.normal());
-        let want = matmul(&a, &b);
-        let got = matmul_f32(&a, &b);
-        assert!(approx_eq(&want, &got, 1e-4), "matmul_f32 drifted");
+        let want = serial(&a, Op::Nn, &b);
+        let got = f32_gemm(&a, Op::Nn, &b);
+        assert!(approx_eq(&want, &got, 1e-4), "Nn f32 drifted");
         let bt = Matrix::from_fn(7, 14, |_, _| rng.normal());
         assert!(approx_eq(
-            &matmul_bt(&a, &bt),
-            &matmul_bt_f32(&a, &bt),
+            &serial(&a, Op::Nt, &bt),
+            &f32_gemm(&a, Op::Nt, &bt),
             1e-4
         ));
         let at = Matrix::from_fn(14, 9, |_, _| rng.normal());
         assert!(approx_eq(
-            &matmul_at(&at, &b),
-            &matmul_at_f32(&at, &b),
+            &serial(&at, Op::Tn, &b),
+            &f32_gemm(&at, Op::Tn, &b),
             1e-4
         ));
     }
 
     #[test]
+    fn threaded_gemm_matches_serial_bit_exactly_above_threshold() {
+        // 128 · 96 · 128 = 1.5M > PAR_MIN_WORK, so the parallel path runs;
+        // within each precision, thread count never changes a bit
+        let mut rng = Rng64::seed_from_u64(7);
+        for op in OPS {
+            let (a, b) = operands(op, (128, 96, 128), &mut rng);
+            for precision in [Precision::F64, Precision::F32] {
+                let want = gemm(&a, op, &b, ExecPolicy::Serial, precision);
+                for exec in [
+                    ExecPolicy::threads(2),
+                    ExecPolicy::threads(3),
+                    ExecPolicy::threads(5),
+                    ExecPolicy::threads(8),
+                    ExecPolicy::Auto,
+                ] {
+                    let got = gemm(&a, op, &b, exec, precision);
+                    assert_eq!(got, want, "{op:?} {precision:?} {exec:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_pairwise_matches_serial_bit_exactly() {
+        let mut rng = Rng64::seed_from_u64(2);
+        // above the threshold (128 · 128 · 96) and below it (100 · 70 · 6)
+        for (m, n, d) in [(128, 128, 96), (100, 70, 6)] {
+            let a = Matrix::from_fn(m, d, |_, _| rng.uniform());
+            let b = Matrix::from_fn(n, d, |_, _| rng.uniform());
+            let want = pairwise_sq_dists(&a, &b, ExecPolicy::Serial);
+            for exec in [
+                ExecPolicy::threads(2),
+                ExecPolicy::threads(3),
+                ExecPolicy::threads(5),
+                ExecPolicy::threads(8),
+                ExecPolicy::Auto,
+            ] {
+                let got = pairwise_sq_dists(&a, &b, exec);
+                assert_eq!(got, want, "{m}x{n}x{d} {exec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_rows_is_fine() {
+        // 65 rows of A against 2,700 rows of B clears the threshold, so the
+        // 1,000 requested workers clamp to one per output row
+        let mut rng = Rng64::seed_from_u64(3);
+        let a = Matrix::from_fn(65, 3, |_, _| rng.normal());
+        let b = Matrix::from_fn(2700, 3, |_, _| rng.normal());
+        let many = ExecPolicy::threads(1000);
+        assert_eq!(
+            gemm(&a, Op::Nt, &b, many, Precision::F64),
+            serial(&a, Op::Nt, &b)
+        );
+        assert_eq!(
+            pairwise_sq_dists(&a, &b, many),
+            pairwise_sq_dists(&a, &b, ExecPolicy::Serial)
+        );
+    }
+
+    #[test]
+    fn shapes_below_the_threshold_run_serially() {
+        let mut rng = Rng64::seed_from_u64(8);
+        for op in OPS {
+            let (a, b) = operands(op, (12, 7, 9), &mut rng);
+            let got = gemm(&a, op, &b, ExecPolicy::threads(8), Precision::F64);
+            assert_eq!(got, gemm_naive(&a, op, &b), "{op:?}");
+        }
+        let a = Matrix::ones(4, 4);
+        let got = gemm(
+            &a,
+            Op::Nn,
+            &Matrix::eye(4),
+            ExecPolicy::threads(8),
+            Precision::F64,
+        );
+        assert_eq!(got, a);
+    }
+
+    #[test]
     fn degenerate_shapes_are_fine() {
-        let a = Matrix::zeros(0, 3);
-        let b = Matrix::zeros(3, 4);
-        assert_eq!(matmul(&a, &b).shape(), (0, 4));
-        let a = Matrix::zeros(2, 0);
-        let b = Matrix::zeros(0, 4);
-        assert_eq!(matmul(&a, &b), Matrix::zeros(2, 4));
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(3, 0);
-        assert_eq!(matmul(&a, &b).shape(), (2, 0));
+        for exec in [ExecPolicy::Serial, ExecPolicy::threads(3)] {
+            let nn = |a: &Matrix, b: &Matrix| gemm(a, Op::Nn, b, exec, Precision::F64);
+            assert_eq!(
+                nn(&Matrix::zeros(0, 3), &Matrix::zeros(3, 4)).shape(),
+                (0, 4)
+            );
+            assert_eq!(
+                nn(&Matrix::zeros(2, 0), &Matrix::zeros(0, 4)),
+                Matrix::zeros(2, 4)
+            );
+            assert_eq!(
+                nn(&Matrix::zeros(2, 3), &Matrix::zeros(3, 0)).shape(),
+                (2, 0)
+            );
+            let pw = pairwise_sq_dists(&Matrix::zeros(3, 2), &Matrix::zeros(0, 2), exec);
+            assert_eq!(pw.shape(), (3, 0));
+        }
     }
 
     #[test]
     #[should_panic(expected = "inner dimension mismatch")]
     fn matmul_rejects_mismatch() {
-        let _ = matmul(&Matrix::zeros(2, 3), &Matrix::zeros(2, 3));
+        let _ = serial(&Matrix::zeros(2, 3), Op::Nn, &Matrix::zeros(2, 3));
     }
 
     #[test]
@@ -681,7 +746,7 @@ mod tests {
         let v = vec![1.0, -1.0, 2.0, 0.5];
         let got = matvec(&a, &v);
         let vm = Matrix::from_vec(4, 1, v);
-        let want = matmul(&a, &vm);
+        let want = serial(&a, Op::Nn, &vm);
         for (g, w) in got.iter().zip(want.as_slice()) {
             assert!((g - w).abs() < 1e-12);
         }
@@ -690,7 +755,7 @@ mod tests {
     #[test]
     fn pairwise_distances_are_symmetric_with_zero_diag() {
         let x = Matrix::from_fn(5, 3, |i, j| ((i * 7 + j * 13) % 11) as f64);
-        let d = pairwise_sq_dists(&x, &x);
+        let d = pairwise_sq_dists(&x, &x, ExecPolicy::Serial);
         for i in 0..5 {
             assert_eq!(d[(i, i)], 0.0);
             for j in 0..5 {

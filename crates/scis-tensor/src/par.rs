@@ -1,369 +1,18 @@
-//! Scoped-thread parallel kernels.
-//!
-//! The serial kernels in [`crate::ops`] stay the reference implementation;
-//! every kernel here is a drop-in parallel variant that partitions *output
-//! rows* across `std::thread::scope` workers. The GEMM wrappers hand each
-//! worker a contiguous **row span** and run the same blocked span kernel the
-//! serial entry point uses — every output element's accumulation chain lives
-//! entirely inside its own row, so any partition is bit-identical to the
-//! serial call.
-//!
-//! The `*_exec` entry points take an [`ExecPolicy`] and additionally apply a
-//! work threshold: small products fall back to the serial kernel so that
-//! per-batch NN matmuls do not pay thread-spawn overhead. Thread-count
-//! resolution order: explicit policy (`Serial`/`Threads(n)`) > `SCIS_THREADS`
-//! env var > [`std::thread::available_parallelism`].
-//!
-//! The `*_exec_p` variants additionally take a [`Precision`]: under
-//! [`Precision::F32`] the operands are rounded to `f32` storage once and the
-//! same span kernels run over the converted buffers (accumulators stay
-//! `f64`), which keeps the across-thread bit-equality contract *within* a
-//! precision mode.
+//! The one per-layout GEMM name left beside [`crate::ops::gemm`]:
+//! `loadbench`'s GEMM microcall (`bench/src/micro.rs`) calls it by this
+//! name. Everything else calls `gemm` directly.
 
-use crate::exec::{for_each_row, for_row_spans, ExecPolicy};
+use crate::exec::ExecPolicy;
 use crate::fastmath::Precision;
 use crate::matrix::Matrix;
-use crate::ops::{gemm_nn_span, gemm_nt_span, gemm_tn_span, sq_dist, to_f32_vec};
+use crate::ops::{gemm, Op};
 
-/// Minimum number of inner-loop scalar operations (`m · k · n` for GEMM,
-/// `m · n · d` for pairwise distances) before a kernel goes parallel.
-/// Below this the thread-spawn cost dominates any speedup.
-pub const PAR_MIN_WORK: usize = 1 << 19;
-
-/// Number of worker threads used when a policy is [`ExecPolicy::Auto`].
-/// Delegates to [`crate::exec::auto_threads`]: a strictly-valid positive
-/// `SCIS_THREADS` wins, anything degenerate falls back to the machine's
-/// available parallelism.
-pub fn default_threads() -> usize {
-    crate::exec::auto_threads()
-}
-
-/// Policy- and precision-aware `A · B`. Under [`Precision::F64`] this is
-/// bit-identical to [`crate::ops::matmul`] at any thread count; under
-/// [`Precision::F32`] it is bit-identical to [`crate::ops::matmul_f32`].
-pub fn matmul_exec_p(a: &Matrix, b: &Matrix, policy: ExecPolicy, precision: Precision) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_exec: inner dimension mismatch {:?} · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let threads = if n == 0 || m * k * n < PAR_MIN_WORK {
-        1
-    } else {
-        policy.workers(m)
-    };
-    let mut out = Matrix::zeros(m, n);
-    match precision {
-        Precision::F64 => {
-            for_row_spans(out.as_mut_slice(), n.max(1), threads, |r0, span| {
-                gemm_nn_span(a.as_slice(), k, b.as_slice(), n, r0, span);
-            });
-        }
-        Precision::F32 => {
-            let (af, bf) = (to_f32_vec(a), to_f32_vec(b));
-            for_row_spans(out.as_mut_slice(), n.max(1), threads, |r0, span| {
-                gemm_nn_span(&af, k, &bf, n, r0, span);
-            });
-        }
-    }
-    out
-}
-
-/// Policy-aware `A · B`. Bit-identical to [`crate::ops::matmul`]; goes
-/// parallel over row spans of `A` when the policy allows more than one
-/// worker and the product is large enough to amortize thread spawns.
-pub fn matmul_exec(a: &Matrix, b: &Matrix, policy: ExecPolicy) -> Matrix {
-    matmul_exec_p(a, b, policy, Precision::F64)
-}
-
-/// Policy- and precision-aware `A · Bᵀ`.
+/// `A · Bᵀ` under `policy` and `precision`: [`gemm`] with [`Op::Nt`].
 pub fn matmul_bt_exec_p(
     a: &Matrix,
     b: &Matrix,
     policy: ExecPolicy,
     precision: Precision,
 ) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_bt_exec: inner dimension mismatch {:?} · {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let threads = if n == 0 || m * k * n < PAR_MIN_WORK {
-        1
-    } else {
-        policy.workers(m)
-    };
-    let mut out = Matrix::zeros(m, n);
-    match precision {
-        Precision::F64 => {
-            for_row_spans(out.as_mut_slice(), n.max(1), threads, |r0, span| {
-                gemm_nt_span(a.as_slice(), k, b.as_slice(), n, r0, span);
-            });
-        }
-        Precision::F32 => {
-            let (af, bf) = (to_f32_vec(a), to_f32_vec(b));
-            for_row_spans(out.as_mut_slice(), n.max(1), threads, |r0, span| {
-                gemm_nt_span(&af, k, &bf, n, r0, span);
-            });
-        }
-    }
-    out
-}
-
-/// Policy-aware `A · Bᵀ`. Bit-identical to [`crate::ops::matmul_bt`].
-pub fn matmul_bt_exec(a: &Matrix, b: &Matrix, policy: ExecPolicy) -> Matrix {
-    matmul_bt_exec_p(a, b, policy, Precision::F64)
-}
-
-/// Policy- and precision-aware `Aᵀ · B`.
-pub fn matmul_at_exec_p(
-    a: &Matrix,
-    b: &Matrix,
-    policy: ExecPolicy,
-    precision: Precision,
-) -> Matrix {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_at_exec: inner dimension mismatch {:?}ᵀ · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.cols(), a.rows(), b.cols());
-    let threads = if n == 0 || m * k * n < PAR_MIN_WORK {
-        1
-    } else {
-        policy.workers(m)
-    };
-    let mut out = Matrix::zeros(m, n);
-    match precision {
-        Precision::F64 => {
-            for_row_spans(out.as_mut_slice(), n.max(1), threads, |r0, span| {
-                gemm_tn_span(a.as_slice(), m, b.as_slice(), n, k, r0, span);
-            });
-        }
-        Precision::F32 => {
-            let (af, bf) = (to_f32_vec(a), to_f32_vec(b));
-            for_row_spans(out.as_mut_slice(), n.max(1), threads, |r0, span| {
-                gemm_tn_span(&af, m, &bf, n, k, r0, span);
-            });
-        }
-    }
-    out
-}
-
-/// Policy-aware `Aᵀ · B`. Bit-identical to [`crate::ops::matmul_at`]:
-/// output row `i` accumulates `a[(p, i)] · b.row(p)` over `p` in ascending
-/// order, exactly as the serial kernel does for that row.
-pub fn matmul_at_exec(a: &Matrix, b: &Matrix, policy: ExecPolicy) -> Matrix {
-    matmul_at_exec_p(a, b, policy, Precision::F64)
-}
-
-/// Policy-aware all-pairs squared distances. Bit-identical to
-/// [`crate::ops::pairwise_sq_dists`].
-pub fn pairwise_sq_dists_exec(a: &Matrix, b: &Matrix, policy: ExecPolicy) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "pairwise_sq_dists_exec: feature dim mismatch"
-    );
-    let (m, n, d) = (a.rows(), b.rows(), a.cols());
-    if n == 0 || m * n * d.max(1) < PAR_MIN_WORK {
-        return crate::ops::pairwise_sq_dists(a, b);
-    }
-    let threads = policy.workers(m);
-    if threads == 1 {
-        return crate::ops::pairwise_sq_dists(a, b);
-    }
-    let mut out = Matrix::zeros(m, n);
-    for_each_row(out.as_mut_slice(), n, threads, |i, orow| {
-        let arow = a.row(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = sq_dist(arow, b.row(j));
-        }
-    });
-    out
-}
-
-/// Parallel `A · B` over row spans of `A` with an explicit thread count.
-/// Bit-identical to [`crate::ops::matmul`].
-pub fn matmul_par(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_par: inner dimension mismatch {:?} · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let threads = threads.max(1).min(m.max(1));
-    if threads == 1 || m < 64 || n == 0 {
-        return crate::ops::matmul(a, b);
-    }
-    let mut out = Matrix::zeros(m, n);
-    for_row_spans(out.as_mut_slice(), n, threads, |r0, span| {
-        gemm_nn_span(a.as_slice(), k, b.as_slice(), n, r0, span);
-    });
-    out
-}
-
-/// Parallel all-pairs squared distances over row blocks of `a` with an
-/// explicit thread count. Bit-identical to
-/// [`crate::ops::pairwise_sq_dists`].
-pub fn pairwise_sq_dists_par(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "pairwise_sq_dists_par: feature dim mismatch"
-    );
-    let (m, n) = (a.rows(), b.rows());
-    let threads = threads.max(1).min(m.max(1));
-    if threads == 1 || m < 64 || n == 0 {
-        return crate::ops::pairwise_sq_dists(a, b);
-    }
-    let mut out = Matrix::zeros(m, n);
-    for_each_row(out.as_mut_slice(), n, threads, |i, orow| {
-        let arow = a.row(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = sq_dist(arow, b.row(j));
-        }
-    });
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops::{
-        matmul, matmul_at, matmul_at_f32, matmul_bt, matmul_bt_f32, matmul_f32, pairwise_sq_dists,
-    };
-    use crate::rng::Rng64;
-
-    #[test]
-    fn matmul_par_matches_serial_bit_exactly() {
-        let mut rng = Rng64::seed_from_u64(1);
-        let a = Matrix::from_fn(130, 17, |_, _| rng.normal());
-        let b = Matrix::from_fn(17, 23, |_, _| rng.normal());
-        for threads in [1, 2, 3, 8] {
-            let par = matmul_par(&a, &b, threads);
-            assert_eq!(par, matmul(&a, &b), "threads = {}", threads);
-        }
-    }
-
-    #[test]
-    fn pairwise_par_matches_serial_bit_exactly() {
-        let mut rng = Rng64::seed_from_u64(2);
-        let a = Matrix::from_fn(100, 6, |_, _| rng.uniform());
-        let b = Matrix::from_fn(70, 6, |_, _| rng.uniform());
-        for threads in [1, 2, 5] {
-            let par = pairwise_sq_dists_par(&a, &b, threads);
-            assert_eq!(par, pairwise_sq_dists(&a, &b), "threads = {}", threads);
-        }
-    }
-
-    #[test]
-    fn exec_kernels_match_serial_bit_exactly_above_threshold() {
-        let mut rng = Rng64::seed_from_u64(7);
-        // 128 * 96 * 128 = 1.5M > PAR_MIN_WORK, so the parallel path runs.
-        let a = Matrix::from_fn(128, 96, |_, _| rng.normal());
-        let b = Matrix::from_fn(96, 128, |_, _| rng.normal());
-        for policy in [
-            ExecPolicy::Serial,
-            ExecPolicy::threads(2),
-            ExecPolicy::threads(5),
-            ExecPolicy::Auto,
-        ] {
-            assert_eq!(matmul_exec(&a, &b, policy), matmul(&a, &b), "{:?}", policy);
-        }
-        let c = Matrix::from_fn(128, 96, |_, _| rng.normal());
-        for policy in [ExecPolicy::threads(3), ExecPolicy::Auto] {
-            assert_eq!(
-                matmul_bt_exec(&a, &c, policy),
-                matmul_bt(&a, &c),
-                "{:?}",
-                policy
-            );
-            assert_eq!(
-                matmul_at_exec(&a, &b.transpose(), policy),
-                matmul_at(&a, &b.transpose()),
-                "{:?}",
-                policy
-            );
-            assert_eq!(
-                pairwise_sq_dists_exec(&a, &c, policy),
-                pairwise_sq_dists(&a, &c),
-                "{:?}",
-                policy
-            );
-        }
-    }
-
-    #[test]
-    fn f32_exec_kernels_match_serial_f32_bit_exactly() {
-        // The f32 compute mode obeys the same contract as the default path:
-        // within the mode, thread count never changes a bit.
-        let mut rng = Rng64::seed_from_u64(9);
-        let a = Matrix::from_fn(128, 96, |_, _| rng.normal());
-        let b = Matrix::from_fn(96, 128, |_, _| rng.normal());
-        let c = Matrix::from_fn(128, 96, |_, _| rng.normal());
-        for policy in [ExecPolicy::Serial, ExecPolicy::threads(3)] {
-            assert_eq!(
-                matmul_exec_p(&a, &b, policy, Precision::F32),
-                matmul_f32(&a, &b),
-                "{:?}",
-                policy
-            );
-            assert_eq!(
-                matmul_bt_exec_p(&a, &c, policy, Precision::F32),
-                matmul_bt_f32(&a, &c),
-                "{:?}",
-                policy
-            );
-            assert_eq!(
-                matmul_at_exec_p(&a, &b.transpose(), policy, Precision::F32),
-                matmul_at_f32(&a, &b.transpose()),
-                "{:?}",
-                policy
-            );
-        }
-    }
-
-    #[test]
-    fn exec_kernels_fall_back_to_serial_below_threshold() {
-        let mut rng = Rng64::seed_from_u64(8);
-        let a = Matrix::from_fn(12, 7, |_, _| rng.normal());
-        let b = Matrix::from_fn(7, 9, |_, _| rng.normal());
-        assert_eq!(matmul_exec(&a, &b, ExecPolicy::threads(8)), matmul(&a, &b));
-        assert_eq!(
-            pairwise_sq_dists_exec(&a, &a, ExecPolicy::threads(8)),
-            pairwise_sq_dists(&a, &a)
-        );
-    }
-
-    #[test]
-    fn small_inputs_fall_back_to_serial() {
-        let a = Matrix::ones(4, 4);
-        let b = Matrix::eye(4);
-        assert_eq!(matmul_par(&a, &b, 8), a);
-    }
-
-    #[test]
-    fn more_threads_than_rows_is_fine() {
-        let mut rng = Rng64::seed_from_u64(3);
-        let a = Matrix::from_fn(65, 3, |_, _| rng.normal());
-        let b = Matrix::from_fn(3, 3, |_, _| rng.normal());
-        let got = matmul_par(&a, &b, 1000);
-        assert_eq!(got, matmul(&a, &b));
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
-    }
+    gemm(a, Op::Nt, b, policy, precision)
 }

@@ -20,6 +20,5 @@ $BIN/fig_divergence                                             > bench_results/
 SIZES=1000,4000,16000 BUDGET=300 EPOCHS=10 $BIN/fig_scaling     > bench_results/logs/fig_scaling.log 2>&1
 SCALE=1.0 MAXROWS=3000 BUDGET=120 EPOCHS=10 $BIN/ablation_dim   > bench_results/logs/ablation_dim.log 2>&1
 EPOCHS=10 BUDGET=120 $BIN/ext_mechanisms                        > bench_results/logs/ext_mechanisms.log 2>&1
-SERVE_BENCH_CLIENTS=64 SERVE_BENCH_REQUESTS=32 SERVE_BENCH_OUT=BENCH_serve.json $BIN/serve_bench > bench_results/logs/serve_bench.log 2>&1
 $BIN/summarize                                                  > bench_results/logs/summarize.log 2>&1
 echo CAMPAIGN_DONE

@@ -17,6 +17,5 @@ SCALE=0.02 BUDGET=90 EPOCHS=8 $BIN/table7                       > bench_results/
 SIZES=500,2000,8000 BUDGET=240 EPOCHS=8 $BIN/fig_scaling        > bench_results/logs/fig_scaling.log 2>&1
 SCALE=1.0 MAXROWS=1500 BUDGET=90 EPOCHS=8 $BIN/ablation_dim     > bench_results/logs/ablation_dim.log 2>&1
 EPOCHS=8 BUDGET=90 $BIN/ext_mechanisms                          > bench_results/logs/ext_mechanisms.log 2>&1
-SERVE_BENCH_CLIENTS=32 SERVE_BENCH_REQUESTS=16 SERVE_BENCH_OUT=BENCH_serve.json $BIN/serve_bench > bench_results/logs/serve_bench.log 2>&1
 $BIN/summarize                                                  > bench_results/logs/summarize.log 2>&1
 echo CAMPAIGN_DONE

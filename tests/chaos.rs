@@ -8,7 +8,7 @@ use std::cell::Cell;
 use scis_core::dim::{DimConfig, GenerativeLoss, LambdaMode};
 use scis_core::pipeline::{Scis, ScisConfig};
 use scis_core::sse::SseConfig;
-use scis_core::{train_dim_guarded, GuardConfig, GuardStats, ScisError, TrainPhase};
+use scis_core::{train_dim, GuardStats, ScisError, TrainPhase, TrainRun};
 use scis_data::missing::inject_mcar;
 use scis_data::Dataset;
 use scis_imputers::{AdversarialImputer, GainImputer, Imputer, TrainConfig};
@@ -275,16 +275,9 @@ fn transient_nan_batches_are_skipped_and_counted() {
     // dropped, counted, and training must still complete all epochs
     let mut poisoned = PoisonedGain::new(cfg.dim.train, 3);
     let mut stats = GuardStats::default();
-    let report = train_dim_guarded(
-        &mut poisoned,
-        &ds,
-        &cfg.dim,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        &mut rng,
-    )
-    .expect("transient poisoning must be survivable");
+    let run = TrainRun::default();
+    let report = train_dim(&mut poisoned, &ds, &cfg.dim, &run, &mut stats, &mut rng)
+        .expect("transient poisoning must be survivable");
     assert_eq!(report.epoch_losses.len(), cfg.dim.train.epochs);
     assert!(stats.nan_batches_skipped > 0, "no skips counted: {stats:?}");
     assert!(report.final_loss().is_finite());
@@ -327,16 +320,9 @@ fn starved_sinkhorn_budget_triggers_escalation() {
     let mut rng = Rng64::seed_from_u64(9);
     let mut gain = GainImputer::new(cfg.dim.train);
     let mut stats = GuardStats::default();
-    let report = train_dim_guarded(
-        &mut gain,
-        &ds,
-        &cfg.dim,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        &mut rng,
-    )
-    .expect("starved sinkhorn must be survivable");
+    let run = TrainRun::default();
+    let report = train_dim(&mut gain, &ds, &cfg.dim, &run, &mut stats, &mut rng)
+        .expect("starved sinkhorn must be survivable");
     assert!(
         stats.sinkhorn.escalations > 0,
         "no escalations recorded: {stats:?}"
@@ -346,9 +332,8 @@ fn starved_sinkhorn_budget_triggers_escalation() {
 
 #[test]
 fn rollback_invalidates_the_dual_cache() {
-    use scis_core::{train_dim_cached, AccelConfig};
+    use scis_core::AccelConfig;
     use scis_ot::DualCache;
-    use scis_telemetry::Telemetry;
 
     let ds = chaos_dataset(160, 0.2, 11);
     let mut cfg = fast_config();
@@ -360,17 +345,11 @@ fn rollback_invalidates_the_dual_cache() {
     let mut poisoned = PoisonedGain::new(cfg.dim.train, 1);
     let mut stats = GuardStats::default();
     let cache = DualCache::enabled();
-    let result = train_dim_cached(
-        &mut poisoned,
-        &ds,
-        &cfg.dim,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        &Telemetry::off(),
-        &cache,
-        &mut rng,
-    );
+    let run = TrainRun {
+        cache: Some(&cache),
+        ..TrainRun::default()
+    };
+    let result = train_dim(&mut poisoned, &ds, &cfg.dim, &run, &mut stats, &mut rng);
     assert!(result.is_err(), "total poisoning must exhaust the guard");
     assert!(stats.rollbacks > 0, "no rollbacks recorded: {stats:?}");
     let cs = cache.stats();
@@ -384,9 +363,8 @@ fn rollback_invalidates_the_dual_cache() {
 
 #[test]
 fn accelerated_training_survives_transient_poisoning() {
-    use scis_core::{train_dim_cached, AccelConfig};
+    use scis_core::AccelConfig;
     use scis_ot::DualCache;
-    use scis_telemetry::Telemetry;
 
     let ds = chaos_dataset(160, 0.2, 12);
     let mut cfg = fast_config();
@@ -395,18 +373,12 @@ fn accelerated_training_survives_transient_poisoning() {
     let mut poisoned = PoisonedGain::new(cfg.dim.train, 3);
     let mut stats = GuardStats::default();
     let cache = DualCache::enabled();
-    let report = train_dim_cached(
-        &mut poisoned,
-        &ds,
-        &cfg.dim,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        &Telemetry::off(),
-        &cache,
-        &mut rng,
-    )
-    .expect("transient poisoning must be survivable with accel on");
+    let run = TrainRun {
+        cache: Some(&cache),
+        ..TrainRun::default()
+    };
+    let report = train_dim(&mut poisoned, &ds, &cfg.dim, &run, &mut stats, &mut rng)
+        .expect("transient poisoning must be survivable with accel on");
     assert_eq!(report.epoch_losses.len(), cfg.dim.train.epochs);
     assert!(stats.nan_batches_skipped > 0, "no skips counted: {stats:?}");
     assert!(report.final_loss().is_finite());
@@ -450,7 +422,7 @@ fn degraded_run_carries_flight_recorder_tail() {
 
 #[test]
 fn training_error_carries_post_mortem_tail() {
-    use scis_core::{train_dim_cached, AccelConfig};
+    use scis_core::AccelConfig;
     use scis_ot::DualCache;
     use scis_telemetry::{Event, Telemetry};
 
@@ -461,18 +433,14 @@ fn training_error_carries_post_mortem_tail() {
     let mut poisoned = PoisonedGain::new(cfg.dim.train, 1);
     let mut stats = GuardStats::default();
     let tel = Telemetry::collecting();
-    let err = train_dim_cached(
-        &mut poisoned,
-        &ds,
-        &cfg.dim,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        &tel,
-        &DualCache::off(),
-        &mut rng,
-    )
-    .expect_err("total poisoning must exhaust the guard");
+    let off = DualCache::off();
+    let run = TrainRun {
+        telemetry: tel,
+        cache: Some(&off),
+        ..TrainRun::default()
+    };
+    let err = train_dim(&mut poisoned, &ds, &cfg.dim, &run, &mut stats, &mut rng)
+        .expect_err("total poisoning must exhaust the guard");
     assert!(!err.post_mortem.is_empty(), "post-mortem empty");
     assert!(
         err.post_mortem
@@ -484,18 +452,13 @@ fn training_error_carries_post_mortem_tail() {
     let mut rng = Rng64::seed_from_u64(13);
     let mut poisoned = PoisonedGain::new(cfg.dim.train, 1);
     let mut stats = GuardStats::default();
-    let err = train_dim_cached(
-        &mut poisoned,
-        &ds,
-        &cfg.dim,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        &Telemetry::off(),
-        &DualCache::off(),
-        &mut rng,
-    )
-    .expect_err("total poisoning must exhaust the guard");
+    let run = TrainRun {
+        telemetry: Telemetry::off(),
+        cache: Some(&off),
+        ..TrainRun::default()
+    };
+    let err = train_dim(&mut poisoned, &ds, &cfg.dim, &run, &mut stats, &mut rng)
+        .expect_err("total poisoning must exhaust the guard");
     assert!(err.post_mortem.is_empty());
 }
 
@@ -663,12 +626,8 @@ fn deadline_expiry_finishes_gracefully() {
 /// pre-training error — not a panic, not silent corruption.
 #[test]
 fn resume_mismatch_is_a_typed_error() {
-    use scis_core::{
-        latest_checkpoint, train_dim_resumable, CheckpointPolicy, FailureReason, TrainCheckpoint,
-        TrainHooks,
-    };
+    use scis_core::{latest_checkpoint, CheckpointPolicy, FailureReason, TrainCheckpoint};
     use scis_ot::DualCache;
-    use scis_telemetry::Telemetry;
 
     let ds = chaos_dataset(80, 0.2, 23);
     let cfg = fast_config();
@@ -679,23 +638,14 @@ fn resume_mismatch_is_a_typed_error() {
     let mut rng = Rng64::seed_from_u64(23);
     let mut gain = GainImputer::new(cfg.dim.train);
     let mut stats = GuardStats::default();
-    let hooks = TrainHooks {
+    let off = DualCache::off();
+    let run = TrainRun {
+        cache: Some(&off),
         checkpoint: Some(&policy),
-        ..Default::default()
+        ..TrainRun::default()
     };
-    train_dim_resumable(
-        &mut gain,
-        &ds,
-        &cfg.dim,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        &Telemetry::off(),
-        &DualCache::off(),
-        &hooks,
-        &mut rng,
-    )
-    .expect("clean training must succeed");
+    train_dim(&mut gain, &ds, &cfg.dim, &run, &mut stats, &mut rng)
+        .expect("clean training must succeed");
     let path = latest_checkpoint(&dir).expect("no checkpoint written");
     let mut ckpt = TrainCheckpoint::load(&path).unwrap();
 
@@ -705,23 +655,13 @@ fn resume_mismatch_is_a_typed_error() {
     let mut rng = Rng64::seed_from_u64(23);
     let mut gain = GainImputer::new(cfg.dim.train);
     let mut stats = GuardStats::default();
-    let hooks = TrainHooks {
+    let run = TrainRun {
+        cache: Some(&off),
         resume: Some(&ckpt),
-        ..Default::default()
+        ..TrainRun::default()
     };
-    let err = train_dim_resumable(
-        &mut gain,
-        &ds,
-        &cfg.dim,
-        &GuardConfig::default(),
-        TrainPhase::Initial,
-        &mut stats,
-        &Telemetry::off(),
-        &DualCache::off(),
-        &hooks,
-        &mut rng,
-    )
-    .expect_err("mismatched checkpoint must be rejected");
+    let err = train_dim(&mut gain, &ds, &cfg.dim, &run, &mut stats, &mut rng)
+        .expect_err("mismatched checkpoint must be rejected");
     assert!(
         matches!(err.reason, FailureReason::ResumeMismatch { .. }),
         "wrong reason: {}",

@@ -175,17 +175,19 @@ fn blocked_gemm_matches_naive_reference_at_default_settings() {
     // The register-tiled kernels behind every default-path matmul must be a
     // pure scheduling change: same per-element accumulation chains as the
     // naive reference loops, hence bit-identical output.
-    use scis_repro::tensor::ops;
+    use scis_repro::tensor::ops::{gemm, gemm_naive, Op};
+    use scis_repro::tensor::Precision;
 
+    let blocked = |a: &Matrix, op, b: &Matrix| gemm(a, op, b, ExecPolicy::Serial, Precision::F64);
     let mut rng = Rng64::seed_from_u64(91);
     for &(m, k, n) in &[(5usize, 7usize, 9usize), (64, 32, 48), (33, 31, 29)] {
         let a = Matrix::from_fn(m, k, |_, _| rng.normal());
         let b = Matrix::from_fn(k, n, |_, _| rng.normal());
-        assert_eq!(ops::matmul(&a, &b), ops::matmul_naive(&a, &b));
+        assert_eq!(blocked(&a, Op::Nn, &b), gemm_naive(&a, Op::Nn, &b));
         let bt = Matrix::from_fn(n, k, |_, _| rng.normal());
-        assert_eq!(ops::matmul_bt(&a, &bt), ops::matmul_bt_naive(&a, &bt));
+        assert_eq!(blocked(&a, Op::Nt, &bt), gemm_naive(&a, Op::Nt, &bt));
         let at = Matrix::from_fn(k, m, |_, _| rng.normal());
-        assert_eq!(ops::matmul_at(&at, &b), ops::matmul_at_naive(&at, &b));
+        assert_eq!(blocked(&at, Op::Tn, &b), gemm_naive(&at, Op::Tn, &b));
     }
 }
 
@@ -302,6 +304,7 @@ fn mlp_forward_and_backward_are_bit_identical() {
 #[test]
 fn sse_monte_carlo_fan_out_is_bit_identical() {
     use scis_repro::core::sse::{estimate_min_sample_size, fisher_diagonal};
+    use scis_repro::ot::DualCache;
 
     let complete = correlated_table(300, 41);
     let mut rng = Rng64::seed_from_u64(42);
@@ -312,7 +315,17 @@ fn sse_monte_carlo_fan_out_is_bit_identical() {
         let mut gain = GainImputer::new(TrainConfig::fast_test());
         gain.init_networks(4, &mut rng);
         let opts = SinkhornOptions::default().lambda(0.1).max_iters(100);
-        let diag = fisher_diagonal(&mut gain, &ds, &opts, 64, &mut rng);
+        let diag = fisher_diagonal(
+            &mut gain,
+            &ds,
+            &opts,
+            64,
+            &EscalationPolicy::none(),
+            &Telemetry::off(),
+            &DualCache::off(),
+            AccelConfig::default(),
+            &mut rng,
+        );
         let cfg = SseConfig::default().epsilon(5e-3).exec(exec);
         let res = estimate_min_sample_size(&mut gain, &ds, &diag, 50, 300, &cfg, &mut rng);
         (res.n_star, res.prob_at_n_star, res.probes)

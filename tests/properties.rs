@@ -458,3 +458,47 @@ fn bundle_with_a_forged_column_count_is_a_typed_error() {
         );
     }
 }
+
+#[test]
+fn json_strings_parse_in_linear_time() {
+    use scis_serve::json::{parse, Json};
+    // one `{"row":["…"]}` body just under the server's default 1 MiB body
+    // cap, holding a single long string: a parser that rescans the rest of
+    // the input for every character it copies spends seconds here
+    let long = "x".repeat((1 << 20) - 16);
+    let body = format!("{{\"row\":[\"{long}\"]}}");
+    assert!(body.len() < 1 << 20);
+    let t0 = std::time::Instant::now();
+    let parsed = parse(&body).expect("a long plain string parses");
+    let took = t0.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "parsing a {}-byte string took {took:?}",
+        long.len()
+    );
+    let row = parsed.get("row").and_then(Json::as_arr).expect("row array");
+    assert_eq!(row[0].as_str(), Some(long.as_str()));
+
+    // multi-byte and escaped characters still come back the same
+    for (text, want) in [
+        (r#""héllo wörld""#, "héllo wörld"),
+        (
+            r#""日本語 \u00e9\n\t\"q\" \\ end""#,
+            "日本語 é\n\t\"q\" \\ end",
+        ),
+        ("\"🦀 crab, ünïcode\"", "🦀 crab, ünïcode"),
+        (r#""a\/b\u0041\r\b\f""#, "a/bA\r\u{8}\u{c}"),
+        (r#""""#, ""),
+    ] {
+        assert_eq!(parse(text), Ok(Json::Str(want.into())), "{text}");
+    }
+    // and the rejects stay rejects
+    for text in [
+        "\"a\u{1}b\"",
+        "\"unterminated",
+        "\"bad \\x escape\"",
+        "\"\\u12\"",
+    ] {
+        assert!(parse(text).is_err(), "{text:?} parsed");
+    }
+}

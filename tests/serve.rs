@@ -12,7 +12,7 @@ use scis_repro::serve::client::request;
 use scis_repro::serve::json::{parse as json_parse, Json};
 use scis_repro::telemetry::Telemetry;
 use scis_repro::tensor::{Matrix, Rng64};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn tiny_bundle(d: usize, seed: u64) -> ModelBundle {
@@ -151,6 +151,29 @@ fn sixty_four_concurrent_clients_get_bit_identical_answers() {
     .expect("server starts");
     let addr = server.local_addr();
 
+    // scrape /metricsz while the clients load the server: the exposition
+    // must keep answering, counters included, under load
+    let clients_done = Arc::new(AtomicBool::new(false));
+    let scraper = {
+        let done = clients_done.clone();
+        std::thread::spawn(move || {
+            let mut scrapes = 0usize;
+            loop {
+                let resp = request(addr, "GET", "/metricsz", None).expect("metricsz scrape");
+                assert_eq!(resp.status, 200, "metricsz must answer under load");
+                assert!(
+                    resp.body.contains("# TYPE scis_serve_requests counter"),
+                    "metricsz lost its counters under load"
+                );
+                scrapes += 1;
+                if done.load(Ordering::SeqCst) {
+                    return scrapes;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+        })
+    };
+
     let retried_total = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..CLIENTS)
         .map(|client| {
@@ -179,6 +202,9 @@ fn sixty_four_concurrent_clients_get_bit_identical_answers() {
     }
     // zero dropped: every one of the 64 * 4 requests came back with a 200
     assert_eq!(served, CLIENTS * REQUESTS);
+    clients_done.store(true, Ordering::SeqCst);
+    let scrapes = scraper.join().expect("metricsz scraper");
+    assert!(scrapes >= 1);
 
     // the statz endpoint saw the traffic
     let statz = request(addr, "GET", "/statz", None).expect("statz");

@@ -13,7 +13,7 @@
 use scis_data::missing::inject_mcar;
 use scis_data::{ChunkedDataset, MemorySink};
 use scis_repro::prelude::*;
-use scis_repro::telemetry::{Counter, Event, Hist, RecordedEvent};
+use scis_repro::telemetry::{Counter, Event, Hist, RecordedEvent, Series};
 
 fn correlated_table(n: usize, seed: u64) -> Matrix {
     let mut rng = Rng64::seed_from_u64(seed);
@@ -316,4 +316,57 @@ fn try_run_surfaces_oversized_n0_as_error() {
         .try_run(&mut gain, &ds, 80, &mut rng)
         .expect_err("2*n0 > N must be rejected");
     assert!(err.to_string().contains("exceeds N"), "got: {err}");
+}
+
+#[test]
+fn warm_start_hit_rate_never_drops_after_a_phase_s_first_epoch() {
+    // a 100 × 4 correlated table, 25% MCAR, 6 full-batch epochs, n0 = 20,
+    // ε = 0.02, serial, with every accelerator on: full-batch epochs
+    // re-solve the same rows, so once a phase's first epoch has primed its
+    // dual cache, the per-epoch hit rate may only hold or rise
+    let complete = correlated_table(100, 51);
+    let mut rng = Rng64::seed_from_u64(52);
+    let ds = inject_mcar(&complete, 0.25, &mut rng);
+    let train = TrainConfig::default()
+        .epochs(6)
+        .batch_size(100)
+        .learning_rate(0.005)
+        .dropout(0.0);
+    let config = ScisConfig::default()
+        .dim(DimConfig::default().train(train))
+        .epsilon(0.02)
+        .exec(ExecPolicy::Serial)
+        .accel(AccelConfig::all_f32());
+    let mut gain = GainImputer::new(train);
+    let tel = Telemetry::collecting();
+    Scis::new(config)
+        .telemetry(tel.clone())
+        .try_run(&mut gain, &ds, 20, &mut rng)
+        .expect("pipeline run failed");
+
+    let hit_rate = tel.series(Series::WarmStartHitRate);
+    let phase = tel.series(Series::TrainPhase);
+    assert_eq!(hit_rate.len(), phase.len());
+    assert!(
+        hit_rate.iter().any(|&r| r > 0.0),
+        "no warm starts: {hit_rate:?}"
+    );
+    // each phase owns a fresh cache: compare epochs within one phase only
+    let mut start = 0;
+    while start < phase.len() {
+        let end = (start..phase.len())
+            .find(|&e| phase[e] != phase[start])
+            .unwrap_or(phase.len());
+        for i in start + 2..end {
+            assert!(
+                hit_rate[i] >= hit_rate[i - 1] - 1e-12,
+                "warm_start_hit_rate dropped in phase {} at epoch {}: {} -> {}",
+                phase[start],
+                i - start + 1,
+                hit_rate[i - 1],
+                hit_rate[i]
+            );
+        }
+        start = end;
+    }
 }
