@@ -32,8 +32,9 @@
 use crate::error::TrainPhase;
 use crate::guard::GuardStats;
 use scis_nn::serialize::ModelIoError;
-use scis_nn::{fnv1a64, write_atomic, AdamState};
+use scis_nn::{write_atomic, AdamState};
 use scis_ot::SolveStats;
+use scis_tensor::fnv1a64;
 use scis_tensor::rng::RngState;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

@@ -56,11 +56,11 @@ pub(crate) fn record_solve_stats(tel: &Telemetry, s: SolveStats) {
     }
 }
 
-/// Sinkhorn hot-path acceleration knobs. All off by default — the default
-/// training path is bit-identical to the historical implementation; each
-/// flag trades that strict identity for speed while preserving correctness
-/// (results agree within the solver tolerance, and stay bit-identical across
-/// thread counts for a fixed configuration).
+/// Sinkhorn hot-path acceleration knobs, all off by default. Each flag
+/// changes how a solve starts or what it sweeps, never the one sweep loop
+/// that runs it, so results agree with the default path within the solver
+/// tolerance (or, for `f32_compute`, the `f32` input rounding) and stay
+/// bit-identical across thread counts for a fixed configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccelConfig {
     /// Warm-start each batch's Sinkhorn solves from the previous epoch's
@@ -73,10 +73,10 @@ pub struct AccelConfig {
     /// Anneal cold solves (first epoch, post-rollback) through ε-scaling.
     pub eps_scale_cold: bool,
     /// Run the compute hot loops (GEMM, Sinkhorn sweeps) with `f32` operand
-    /// storage, `f64` accumulation, and the polynomial `fast_exp` — see
-    /// `scis_tensor::Precision::F32`. Results differ from the default path
-    /// by input rounding only, and stay bit-identical across thread counts
-    /// for a fixed configuration.
+    /// storage, `f64` accumulation, and the polynomial `fast_exp` in the
+    /// sweeps — see `scis_tensor::Precision::F32`. The loops are the default
+    /// path's; results differ from it by input rounding only, and stay
+    /// bit-identical across thread counts for a fixed configuration.
     pub f32_compute: bool,
 }
 

@@ -47,7 +47,7 @@
 use crate::dataset::{ColumnKind, Dataset};
 use crate::synth::SynthConfig;
 use crate::validate::DataError;
-use scis_tensor::{Matrix, Rng64};
+use scis_tensor::{fnv1a64, Matrix, Rng64};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
@@ -155,16 +155,6 @@ fn io_err(path: &Path, source: std::io::Error) -> ShardError {
         path: path.to_path_buf(),
         source,
     }
-}
-
-/// FNV-1a 64 over a byte stream — the spill-shard integrity check.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A dataset served as fixed-size row shards.
@@ -532,7 +522,7 @@ fn write_spill_shard(dir: &Path, k: usize, values: &Matrix) -> Result<(), ShardE
     for &v in values.as_slice() {
         bytes.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    let checksum = fnv1a(&bytes);
+    let checksum = fnv1a64(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     let mut f = std::fs::File::create(&path).map_err(|e| io_err(&path, e))?;
     f.write_all(&bytes).map_err(|e| io_err(&path, e))?;
@@ -563,7 +553,7 @@ fn read_spill_shard(dir: &Path, k: usize) -> Result<Matrix, ShardError> {
         return Err(torn());
     }
     let stored = u64::from_le_bytes(bytes[header + body..].try_into().expect("8 bytes"));
-    if fnv1a(&bytes[..header + body]) != stored {
+    if fnv1a64(&bytes[..header + body]) != stored {
         return Err(ShardError::Corrupt { shard: k, path });
     }
     let mut data = Vec::with_capacity(rows * cols);

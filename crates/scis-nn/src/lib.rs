@@ -26,5 +26,5 @@ pub use layer::{Activation, Dense, Dropout, Layer, Mode};
 pub use mlp::Mlp;
 pub use optim::{clip_grad_norm, Adam, AdamState, Optimizer, RmsProp, Sgd, StepDecay};
 pub use serialize::{
-    fnv1a64, load_mlp, mlp_from_str, mlp_to_string, save_mlp, write_atomic, MlpSpec, SpecLayer,
+    load_mlp, mlp_from_str, mlp_to_string, save_mlp, write_atomic, MlpSpec, SpecLayer,
 };

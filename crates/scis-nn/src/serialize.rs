@@ -24,7 +24,7 @@
 
 use crate::layer::Activation;
 use crate::mlp::{Mlp, MlpBuilder};
-use scis_tensor::Rng64;
+use scis_tensor::{fnv1a64, Rng64};
 use std::io::Write;
 use std::path::Path;
 
@@ -72,17 +72,6 @@ impl From<std::io::Error> for ModelIoError {
     fn from(e: std::io::Error) -> Self {
         ModelIoError::Io(e)
     }
-}
-
-/// FNV-1a 64-bit hash — the dependency-free checksum used by the model and
-/// checkpoint formats. Not cryptographic; detects truncation and bit-rot.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Crash-safe file write: writes `contents` to a sibling temp file, fsyncs

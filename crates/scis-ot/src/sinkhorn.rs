@@ -13,8 +13,8 @@
 //! `exp(−C/λ)` would underflow in the primal domain.
 
 use scis_tensor::exec::for_row_spans;
-use scis_tensor::fastmath::{fast_exp, fast_exp_shifted};
-use scis_tensor::ops::to_f32_vec;
+use scis_tensor::fastmath::fast_exp;
+use scis_tensor::ops::{to_f32_vec, Scalar};
 use scis_tensor::{ExecPolicy, Matrix, Precision, RunDeadline};
 
 /// Minimum number of cost-matrix cells (`n · m`) before the per-iteration
@@ -41,14 +41,14 @@ pub struct SinkhornOptions {
     /// deadline stops the solve early (reported as unconverged); the default
     /// token never expires.
     pub deadline: RunDeadline,
-    /// Compute precision of the per-iteration sweeps. The default
-    /// [`Precision::F64`] is the bit-stable reference path. Under
-    /// [`Precision::F32`] the cost matrix is stored as `f32`, `C/λ` becomes
-    /// a multiply by `1/λ`, and the sweep exponentials use the polynomial
-    /// [`fast_exp`] — accumulators and potentials stay `f64`, the objective
+    /// Compute precision of the per-iteration sweeps. Both precisions run
+    /// one loop and differ only in the cost cells it sweeps: the default
+    /// [`Precision::F64`] stores them as `f64` and uses libm `exp`;
+    /// [`Precision::F32`] stores them as `f32` and uses the polynomial
+    /// [`fast_exp`]. Potentials and accumulators stay `f64`, the objective
     /// (and any on-demand plan) is always evaluated from the full-precision
-    /// cost with libm `exp`, and results remain bit-identical across thread
-    /// counts *within* the mode. Opt-in via `AccelConfig::f32_compute`
+    /// cost with libm `exp`, and results are bit-identical across thread
+    /// counts within a mode. `F32` is opt-in via `AccelConfig::f32_compute`
     /// upstream.
     pub precision: Precision,
 }
@@ -328,62 +328,44 @@ fn validate_inputs(
     Ok(())
 }
 
-/// Numerically stable `log Σ exp(t_j)` over a materialized term buffer.
-///
-/// The ascending `exp` sum reproduces, bit for bit, the historical two-pass
-/// iterator formulation — the buffer only avoids evaluating each term's
-/// arithmetic twice.
-///
-/// The max fold runs over four independent lanes, which breaks the
-/// one-`f64::max`-latency-per-element chain and returns the same bits as
-/// the sequential fold. `f64::max` ignores NaN whatever the order, so the
-/// lanes agree on the largest value and can differ only in which signed
-/// zero represents a zero maximum. That choice never reaches the result:
-/// `t − (±0)` is the same for every `t` up to the sign of a zero, which
-/// `exp` maps to 1 either way, and `±0 + ln(sum)` is the same as well,
-/// since `sum ≥ 1`.
-#[inline]
-fn lse_terms(terms: &[f64]) -> f64 {
-    let (mut m0, mut m1, mut m2, mut m3) = (
-        f64::NEG_INFINITY,
-        f64::NEG_INFINITY,
-        f64::NEG_INFINITY,
-        f64::NEG_INFINITY,
-    );
-    let mut chunks = terms.chunks_exact(4);
-    for ch in &mut chunks {
-        m0 = f64::max(m0, ch[0]);
-        m1 = f64::max(m1, ch[1]);
-        m2 = f64::max(m2, ch[2]);
-        m3 = f64::max(m3, ch[3]);
-    }
-    for &t in chunks.remainder() {
-        m0 = f64::max(m0, t);
-    }
-    let max = f64::max(f64::max(m0, m1), f64::max(m2, m3));
-    if max == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    let mut sum = 0.0;
-    for &t in terms {
-        sum += (t - max).exp();
-    }
-    max + sum.ln()
+/// A cost cell of the sweep loop: how the sweeps store the cost and which
+/// `exp` they evaluate. [`Precision::F64`] sweeps `f64` cells with libm
+/// `exp`; [`Precision::F32`] sweeps `f32` cells (half the bandwidth) with
+/// the polynomial [`fast_exp`]. The loop itself, its `f64` potentials and
+/// accumulators and its convergence check are the same for both.
+trait Cell: Scalar {
+    /// `e^x` as this mode's sweeps evaluate it.
+    fn exp(x: f64) -> f64;
 }
 
-/// [`lse_terms`] with the polynomial [`fast_exp`] — accelerated-mode only.
+impl Cell for f64 {
+    #[inline(always)]
+    fn exp(x: f64) -> f64 {
+        x.exp()
+    }
+}
+
+impl Cell for f32 {
+    #[inline(always)]
+    fn exp(x: f64) -> f64 {
+        fast_exp(x)
+    }
+}
+
+/// Numerically stable `log Σ exp(t_j)` over a term buffer, with `C`'s
+/// `exp`; the buffer is consumed.
 ///
-/// It shares the reference's four-lane max fold. Two departures from the
-/// reference, both legal in accelerated mode (each row is still produced
-/// by exactly one worker with a fixed reduction structure, so results stay
-/// bit-identical across thread counts *within* the mode):
-///
-/// * exponentiation ([`fast_exp_shifted`]) runs as its own in-place pass
-///   so the polynomial pipelines/vectorizes across the row instead of
-///   serializing on the sum accumulator (the buffer is consumed);
-/// * the `exp` sum uses the same four-accumulator shape as `ops::dot`.
+/// The max fold runs over four independent lanes, which breaks the
+/// one-`f64::max`-latency-per-element chain. `f64::max` ignores NaN
+/// whatever the order, so the lanes agree on the largest value and can
+/// differ only in which signed zero represents a zero maximum, which never
+/// reaches the result: `t − (±0)` is the same for every `t` up to the sign
+/// of a zero, and `±0 + ln(sum)` is the same as well, since `sum ≥ 1`.
+/// The exponentials then run as their own in-place pass, so they pipeline
+/// (and `fast_exp` vectorizes) across the row instead of serializing on the
+/// sum, and the sum uses the same four-accumulator shape as `ops::dot`.
 #[inline]
-fn lse_terms_fast(terms: &mut [f64]) -> f64 {
+fn lse<C: Cell>(terms: &mut [f64]) -> f64 {
     let (mut m0, mut m1, mut m2, mut m3) = (
         f64::NEG_INFINITY,
         f64::NEG_INFINITY,
@@ -404,7 +386,9 @@ fn lse_terms_fast(terms: &mut [f64]) -> f64 {
     if max == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
     }
-    fast_exp_shifted(terms, max);
+    for t in terms.iter_mut() {
+        *t = C::exp(*t - max);
+    }
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
     let mut chunks = terms.chunks_exact(4);
     for ch in &mut chunks {
@@ -418,6 +402,27 @@ fn lse_terms_fast(terms: &mut [f64]) -> f64 {
     }
     let sum = (s0 + s1) + (s2 + s3);
     max + sum.ln()
+}
+
+/// One half-sweep: `out_i ← −λ LSE_j [pre_j − C_ij/λ]` for every row `i` of
+/// `cells` (row-major, `out.len()` rows of `pre.len()` cells).
+///
+/// The affine part of each logit, `pre`, is hoisted out of the cell loop,
+/// and `C/λ` is one multiply by `1/λ`. Rows are split across `threads`
+/// workers with one term buffer per span, and each row is reduced by one
+/// worker in a fixed order, so the sweep gives the same bits at any thread
+/// count.
+fn lse_sweep<C: Cell>(out: &mut [f64], pre: &[f64], cells: &[C], lam: f64, threads: usize) {
+    let (w, inv_lam) = (pre.len(), 1.0 / lam);
+    for_row_spans(out, 1, threads, |r0, span| {
+        let mut terms = vec![0.0; w];
+        for (o, row) in span.iter_mut().zip(cells[r0 * w..].chunks_exact(w)) {
+            for ((t, &p), &c) in terms.iter_mut().zip(pre).zip(row) {
+                *t = p - c.w() * inv_lam;
+            }
+            *o = -lam * lse::<C>(&mut terms);
+        }
+    });
 }
 
 /// Where a [`solve`] starts its dual potentials `(f, g)`.
@@ -585,11 +590,6 @@ fn sinkhorn_impl(
         .map(|&w| if w > 0.0 { w.ln() } else { f64::NEG_INFINITY })
         .collect();
 
-    let mut f = f_init;
-    let mut g = g_init;
-    let mut iterations = 0;
-    let mut converged = false;
-
     // Sweeps partition independent rows (resp. columns) across scoped
     // workers; each entry is produced by exactly one worker with the same
     // arithmetic as the serial loop, so solves are bit-identical under any
@@ -599,195 +599,42 @@ fn sinkhorn_impl(
     } else {
         opts.exec.resolve()
     };
-    let mut row_violation = vec![0.0; n];
-
-    // A transposed copy of the cost lets the g-sweep walk contiguous rows
-    // instead of strided columns. The values and their iteration order are
-    // unchanged, so the default path does not move a bit; the one-time
-    // blocked `n·m` copy is amortized over every sweep of every iteration.
-    //
-    // Accelerated mode: `f32` cost storage (halved sweep bandwidth), the
-    // division by λ folded into a reciprocal multiply, and `fast_exp` in
-    // the sweeps. Potentials and accumulators stay `f64`, and the objective
-    // below is always reduced from the full-precision cost. Each mode builds
-    // only the copies its own loop reads; the f32 transpose is narrowed
-    // straight from the f64 cost.
-    let f32_mode = opts.precision.is_f32();
-    let (cost_t, cost32, cost_t32) = if f32_mode {
-        (
-            Matrix::zeros(0, 0),
-            to_f32_vec(cost),
-            cost.transpose_map(|v| v as f32),
-        )
-    } else {
-        (cost.transpose(), Vec::new(), Vec::new())
-    };
-    let inv_lam = 1.0 / lam;
-
-    if f32_mode && opts.max_iters > 0 {
-        // ---- accelerated iteration loop (within-mode deterministic) ----
-        // (An explicit zero-iteration budget skips the loop entirely so the
-        // warm-started potentials pass through untouched, like the default.)
-        //
-        // Two reassociations make this loop cheaper than the reference, both
-        // legal in accelerated mode (only cross-thread bit-identity within
-        // the mode is required, and every worker reads the same per-sweep
-        // buffers):
-        //
-        // 1. The affine part of each logit is hoisted out of the n·m cell
-        //    loop: `g_pre[j] = log b_j + g_j·invλ` is computed once per
-        //    f-sweep, so the inner loop is one fused multiply-subtract per
-        //    cell (`g_pre[j] − C_ij·invλ`). Same for the g-sweep.
-        // 2. The dedicated marginal-violation sweep — a third of all sweep
-        //    work — disappears. Right after an f-sweep against duals `g`,
-        //    the implied row sum of the previous iterate collapses to
-        //    `Σ_j P_ij = exp(log a_i + (f_i_old − f_i_new)·invλ)` because the
-        //    sweep's LSE value *is* `−f_i_new/λ`. So each f-sweep doubles as
-        //    the convergence check of the iterate the previous pass produced,
-        //    at the cost of one O(n) pass. A trailing f-sweep performs the
-        //    final check once the (f,g)-update budget is spent.
-        let mut g_pre = vec![0.0; m];
-        let mut f_pre = vec![0.0; n];
-        let mut f_prev = vec![0.0; n];
-        let mut it = 0;
-        loop {
-            // Cooperative cancellation: stop at a sweep boundary, leaving the
-            // potentials from the completed sweeps (reported unconverged).
-            if opts.deadline.expired() {
-                break;
-            }
-            // f_i ← −λ LSE_j [ g_pre_j − C_ij·invλ ]
-            for (p, (&lb, &gj)) in g_pre.iter_mut().zip(log_b.iter().zip(&g)) {
-                *p = lb + gj * inv_lam;
-            }
-            f_prev.copy_from_slice(&f);
-            {
-                let g_pre = &g_pre;
-                for_row_spans(&mut f, 1, threads, |r0, span| {
-                    let mut terms = vec![0.0; m];
-                    for (di, fi) in span.iter_mut().enumerate() {
-                        let row = &cost32[(r0 + di) * m..(r0 + di) * m + m];
-                        for ((t, &p), &c) in terms.iter_mut().zip(g_pre).zip(row) {
-                            *t = p - c as f64 * inv_lam;
-                        }
-                        *fi = -lam * lse_terms_fast(&mut terms);
-                    }
-                });
-            }
-            if it > 0 {
-                // Fused check of the iterate completed by the previous pass.
-                let mut violation = 0.0;
-                for i in 0..n {
-                    let row_sum = fast_exp(log_a[i] + (f_prev[i] - f[i]) * inv_lam);
-                    violation += (row_sum - a[i]).abs();
-                }
-                if violation < opts.tol {
-                    converged = true;
-                    iterations = it;
-                    break;
-                }
-            }
-            if it == opts.max_iters {
-                break;
-            }
-            iterations = it + 1;
-            // g_j ← −λ LSE_i [ f_pre_i − C_ij·invλ ]
-            for (p, (&la, &fi)) in f_pre.iter_mut().zip(log_a.iter().zip(&f)) {
-                *p = la + fi * inv_lam;
-            }
-            {
-                let f_pre = &f_pre;
-                for_row_spans(&mut g, 1, threads, |c0, span| {
-                    let mut terms = vec![0.0; n];
-                    for (dj, gj) in span.iter_mut().enumerate() {
-                        let col = &cost_t32[(c0 + dj) * n..(c0 + dj) * n + n];
-                        for ((t, &p), &c) in terms.iter_mut().zip(f_pre).zip(col) {
-                            *t = p - c as f64 * inv_lam;
-                        }
-                        *gj = -lam * lse_terms_fast(&mut terms);
-                    }
-                });
-            }
-            it += 1;
-        }
-    }
-
-    let default_iters = if f32_mode { 0 } else { opts.max_iters };
-    for it in 0..default_iters {
-        // Cooperative cancellation: stop at a sweep boundary, leaving the
-        // potentials from the completed sweeps (reported unconverged).
-        if opts.deadline.expired() {
-            break;
-        }
-        iterations = it + 1;
-        // f_i ← −λ LSE_j [ log b_j + (g_j − C_ij)/λ ]
-        // Span iteration gives each worker one term buffer for its whole
-        // block of rows rather than an allocation per row; the cell loops
-        // walk zipped slices, so they carry no bounds checks.
-        {
-            let g = &g;
-            for_row_spans(&mut f, 1, threads, |r0, span| {
-                let mut terms = vec![0.0; m];
-                for (di, fi) in span.iter_mut().enumerate() {
-                    let row = cost.row(r0 + di);
-                    for ((t, &c), (&lb, &gj)) in terms.iter_mut().zip(row).zip(log_b.iter().zip(g))
-                    {
-                        *t = lb + (gj - c) / lam;
-                    }
-                    *fi = -lam * lse_terms(&terms);
-                }
-            });
-        }
-        // g_j ← −λ LSE_i [ log a_i + (f_i − C_ij)/λ ]
-        {
-            let f = &f;
-            for_row_spans(&mut g, 1, threads, |c0, span| {
-                let mut terms = vec![0.0; n];
-                for (dj, gj) in span.iter_mut().enumerate() {
-                    let col = cost_t.row(c0 + dj);
-                    for ((t, &c), (&la, &fi)) in terms.iter_mut().zip(col).zip(log_a.iter().zip(f))
-                    {
-                        *t = la + (fi - c) / lam;
-                    }
-                    *gj = -lam * lse_terms(&terms);
-                }
-            });
-        }
-        // After a g-update, column marginals are exact; check row marginals.
-        // Per-row partials are summed in ascending row order below, so the
-        // reduction matches the serial accumulation bit for bit.
-        {
-            let (f, g) = (&f, &g);
-            for_row_spans(&mut row_violation, 1, threads, |r0, span| {
-                for (di, slot) in span.iter_mut().enumerate() {
-                    let i = r0 + di;
-                    let mut row_sum = 0.0;
-                    let (la, fi) = (log_a[i], f[i]);
-                    for (&c, (&lb, &gj)) in cost.row(i).iter().zip(log_b.iter().zip(g)) {
-                        row_sum += (la + lb + (fi + gj - c) / lam).exp();
-                    }
-                    *slot = (row_sum - a[i]).abs();
-                }
-            });
-        }
-        let violation: f64 = row_violation.iter().sum();
-        if violation < opts.tol {
-            converged = true;
-            break;
-        }
-    }
-
     let mut result = SinkhornResult {
-        f,
-        g,
+        f: f_init,
+        g: g_init,
         transport_cost: 0.0,
         reg_value: 0.0,
-        iterations,
-        converged,
+        iterations: 0,
+        converged: false,
         log_a,
         log_b,
         lambda: lam,
     };
+    // A zero budget runs no sweep, so warm-started potentials pass through
+    // untouched. Otherwise the mode picks the cells the loop sweeps: the
+    // cost and a transposed copy (so the g-sweep walks contiguous rows too),
+    // in `f64` or narrowed to `f32` straight from the `f64` cost. The
+    // objective below is always reduced from the full-precision cost.
+    if opts.max_iters > 0 {
+        match opts.precision {
+            Precision::F64 => sweep_loop(
+                &mut result,
+                cost.as_slice(),
+                &cost.transpose_map(|v| v),
+                a,
+                opts,
+                threads,
+            ),
+            Precision::F32 => sweep_loop(
+                &mut result,
+                &to_f32_vec(cost),
+                &cost.transpose_map(|v| v as f32),
+                a,
+                opts,
+                threads,
+            ),
+        }
+    }
     // Plan-free epilogue: one parallel row pass takes each row's ⟨P,C⟩ and
     // Σ P log P straight from log P (no plan buffer, no second `ln`); cells
     // whose `exp` underflows to zero carry no mass and are skipped. The row
@@ -822,6 +669,62 @@ fn sinkhorn_impl(
     result.transport_cost = transport_cost;
     result.reg_value = transport_cost + lam * neg_entropy;
     result
+}
+
+/// The Sinkhorn iteration loop over cost cells `C` (`cost` row-major
+/// `n x m`, `cost_t` its transpose): alternating f- and g-sweeps from `r`'s
+/// potentials, setting `r.iterations` and `r.converged`.
+///
+/// There is no separate marginal-violation sweep. Column sums are exact
+/// after a g-update, and the next f-sweep against those duals `g` yields
+/// the iterate's row sums for free: its LSE value *is* `−f_i_new/λ`, so
+/// `Σ_j P_ij = exp(log a_i + (f_i_old − f_i_new)/λ)`, an O(n) pass. Each
+/// f-sweep therefore checks the iterate the previous pass completed. When
+/// the loop stops — converged, out of budget, or at the deadline — `r`
+/// holds that iterate: a stopping f-sweep's values are discarded, so the
+/// reported plan's column marginals are exact and `iterations` counts its
+/// g-updates.
+fn sweep_loop<C: Cell>(
+    r: &mut SinkhornResult,
+    cost: &[C],
+    cost_t: &[C],
+    a: &[f64],
+    opts: &SinkhornOptions,
+    threads: usize,
+) {
+    let (lam, inv_lam) = (r.lambda, 1.0 / r.lambda);
+    let (mut f_pre, mut g_pre) = (vec![0.0; r.f.len()], vec![0.0; r.g.len()]);
+    let mut f_prev = vec![0.0; r.f.len()];
+    let mut it = 0;
+    // Cooperative cancellation: stop at a sweep boundary, leaving the
+    // iterate of the completed passes (reported unconverged).
+    while !opts.deadline.expired() {
+        // f_i ← −λ LSE_j [ log b_j + g_j/λ − C_ij/λ ]
+        for (p, (&lb, &gj)) in g_pre.iter_mut().zip(r.log_b.iter().zip(&r.g)) {
+            *p = lb + gj * inv_lam;
+        }
+        std::mem::swap(&mut r.f, &mut f_prev);
+        lse_sweep(&mut r.f, &g_pre, cost, lam, threads);
+        // the fused check of the iterate (f_prev, g)
+        r.converged = it > 0 && {
+            let mut violation = 0.0;
+            for i in 0..a.len() {
+                violation += (C::exp(r.log_a[i] + (f_prev[i] - r.f[i]) * inv_lam) - a[i]).abs();
+            }
+            violation < opts.tol
+        };
+        if r.converged || it == opts.max_iters {
+            std::mem::swap(&mut r.f, &mut f_prev);
+            break;
+        }
+        // g_j ← −λ LSE_i [ log a_i + f_i/λ − C_ij/λ ]
+        for (p, (&la, &fi)) in f_pre.iter_mut().zip(r.log_a.iter().zip(&r.f)) {
+            *p = la + fi * inv_lam;
+        }
+        lse_sweep(&mut r.g, &f_pre, cost_t, lam, threads);
+        it += 1;
+    }
+    r.iterations = it;
 }
 
 /// The [`Start::Annealed`] ladder: a solve per stage, each warm-started from
@@ -1014,8 +917,9 @@ mod tests {
     }
 
     #[test]
-    fn four_lane_lse_matches_the_sequential_fold() {
-        // the historical single-chain fold, kept as the reference
+    fn lse_matches_the_sequential_fold_in_both_cell_types() {
+        // the historical single-chain fold with libm `exp`, kept as the
+        // reference
         fn sequential(terms: &[f64]) -> f64 {
             let mut max = f64::NEG_INFINITY;
             for &t in terms {
@@ -1029,6 +933,20 @@ mod tests {
                 sum += (t - max).exp();
             }
             max + sum.ln()
+        }
+        // the kernel's `exp` pass and four-accumulator sum round differently
+        // from the reference's chain, and `fast_exp` is within ~1e-13
+        fn check(got: f64, want: f64, rel: f64, what: &str, terms: &[f64]) {
+            if want.is_nan() {
+                assert!(got.is_nan(), "{what}: {got} for a NaN row {terms:?}");
+            } else if want.is_infinite() {
+                assert_eq!(got, want, "{what}: {terms:?}");
+            } else {
+                assert!(
+                    (got - want).abs() <= rel * want.abs(),
+                    "{what}: {got} vs {want} for {terms:?}"
+                );
+            }
         }
         let pool = [
             0.0,
@@ -1044,13 +962,65 @@ mod tests {
         // random rows of length 0..=6 over the pool, so signed-zero maxima,
         // NaN, ±∞ and all-−∞ rows all occur
         let mut rng = scis_tensor::Rng64::seed_from_u64(3);
+        let (mut nan_rows, mut neg_inf_rows) = (0, 0);
         for k in 0..20_000 {
             let terms: Vec<f64> = (0..k % 7)
                 .map(|_| pool[rng.gen_range(pool.len())])
                 .collect();
-            let (got, want) = (lse_terms(&terms), sequential(&terms));
-            assert_eq!(got.to_bits(), want.to_bits(), "{terms:?}");
+            let want = sequential(&terms);
+            nan_rows += want.is_nan() as usize;
+            neg_inf_rows += (want == f64::NEG_INFINITY) as usize;
+            check(lse::<f64>(&mut terms.clone()), want, 1e-15, "f64", &terms);
+            check(lse::<f32>(&mut terms.clone()), want, 1e-12, "f32", &terms);
         }
+        assert!(nan_rows > 0 && neg_inf_rows > 0);
+    }
+
+    #[test]
+    fn the_returned_iterate_is_the_one_the_fused_check_measured() {
+        let mut rng = scis_tensor::Rng64::seed_from_u64(19);
+        let mut outcomes = [0usize; 2];
+        for n in [7usize, 128, 300] {
+            let cost = Matrix::from_fn(n, n, |_, _| rng.uniform());
+            for precision in [Precision::F64, Precision::F32] {
+                // the explicit O(n·m) row check runs on the cells the sweeps
+                // saw; the column marginals are held against the full cost,
+                // so f32 misses them by its cost rounding
+                let (cells, col_tol) = match precision {
+                    Precision::F64 => (cost.clone(), 1e-12),
+                    Precision::F32 => (cost.map(|v| v as f32 as f64), 1e-5),
+                };
+                let row_violation = |r: &SinkhornResult| -> f64 {
+                    let rows = r.plan(&cells).row_sums();
+                    rows.iter().map(|s| (s - 1.0 / n as f64).abs()).sum()
+                };
+                // the first budget is ample, the second runs out
+                for (lambda, budget) in [(0.3, 500), (0.005, 5)] {
+                    let opts = SinkhornOptions::with_lambda(lambda)
+                        .max_iters(budget)
+                        .exec(ExecPolicy::Serial)
+                        .precision(precision);
+                    let what = format!("n={n} {precision:?} λ={lambda}");
+                    let r = solve_uniform(&cost, &opts);
+                    outcomes[r.converged as usize] += 1;
+                    for c in r.plan(&cost).col_sums() {
+                        assert!((c * n as f64 - 1.0).abs() <= col_tol, "{what}: column {c}");
+                    }
+                    assert_eq!(row_violation(&r) < opts.tol, r.converged, "{what}");
+                    if !r.converged {
+                        assert_eq!(r.iterations, budget, "{what}");
+                        continue;
+                    }
+                    // one g-update fewer ends unconverged: `iterations` is
+                    // the first iterate to pass the check
+                    let short = solve_uniform(&cost, &opts.clone().max_iters(r.iterations - 1));
+                    assert!(!short.converged, "{what}");
+                    assert_eq!(short.iterations, r.iterations - 1, "{what}");
+                    assert!(row_violation(&short) >= opts.tol, "{what}");
+                }
+            }
+        }
+        assert_eq!(outcomes, [6, 6], "[unconverged, converged] solves");
     }
 
     #[test]

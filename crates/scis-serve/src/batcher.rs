@@ -1,12 +1,11 @@
 //! Request coalescing: many concurrent clients, one generator.
 //!
 //! Clients submit jobs into a *bounded* queue ([`std::sync::mpsc::sync_channel`]);
-//! a single batcher thread drains it, coalescing queued jobs into one
-//! policy-aware generator forward pass per flush. A flush happens when the
-//! accumulated batch reaches `max_batch_rows` or when `flush_micros` has
-//! elapsed since the first queued job — whichever comes first — so a lone
-//! request never waits longer than the flush deadline and a burst amortizes
-//! into one GEMM.
+//! a single batcher thread drains it greedily: it blocks for the first job,
+//! takes whatever else is already queued, up to `max_batch_rows`, and runs
+//! one policy-aware generator forward pass over the lot. There is no flush
+//! timer, so a lone request never waits for company, and batches still grow
+//! under load because arrivals queue while a forward pass runs.
 //!
 //! Backpressure is the queue bound: when it is full, [`Batcher::submit`]
 //! fails immediately with [`SubmitError::QueueFull`] and the HTTP layer
@@ -18,19 +17,17 @@
 use crate::service::{ImputeResult, ImputeRow, ImputeService};
 use scis_telemetry::{Counter, Hist, Telemetry};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Batching knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
     /// Bound on queued jobs (requests, not rows). Full queue → 503.
     pub queue_cap: usize,
-    /// Flush when the coalesced batch reaches this many rows.
+    /// Stop taking queued jobs into a batch once it holds this many rows.
     pub max_batch_rows: usize,
-    /// Flush when the oldest queued job has waited this long (µs).
-    pub flush_micros: u64,
 }
 
 impl Default for BatchConfig {
@@ -38,7 +35,6 @@ impl Default for BatchConfig {
         Self {
             queue_cap: 128,
             max_batch_rows: 256,
-            flush_micros: 500,
         }
     }
 }
@@ -118,8 +114,8 @@ impl Batcher {
         if !self.is_alive() {
             return Err(SubmitError::Unavailable);
         }
-        // rendezvous reply channel: the batcher's send never blocks because
-        // the submitting thread is already waiting on recv
+        // a one-slot reply channel: the batcher sends exactly one reply per
+        // job, so its send never blocks, whether or not anyone is waiting
         let (reply, result_rx) = std::sync::mpsc::sync_channel(1);
         let job = Job {
             rows,
@@ -149,33 +145,16 @@ impl Drop for Batcher {
 }
 
 fn run_loop(mut service: ImputeService, cfg: BatchConfig, telemetry: Telemetry, rx: Receiver<Job>) {
-    let flush = Duration::from_micros(cfg.flush_micros);
-    loop {
-        // block for the first job of the batch
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => return, // all senders gone
-        };
+    // block for the first job of the batch; the loop ends when every
+    // sender is gone
+    while let Ok(first) = rx.recv() {
+        let mut n_rows = first.rows.len();
         let mut jobs = vec![first];
-        let mut n_rows = jobs[0].rows.len();
-        let deadline = Instant::now() + flush;
-        // coalesce until the batch is full or the flush deadline passes
+        // take whatever is already queued, without waiting for more
         while n_rows < cfg.max_batch_rows {
-            let now = Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            match rx.recv_timeout(left) {
-                Ok(job) => {
-                    n_rows += job.rows.len();
-                    jobs.push(job);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+            let Ok(job) = rx.try_recv() else { break };
+            n_rows += job.rows.len();
+            jobs.push(job);
         }
 
         // one forward pass over every coalesced row
@@ -282,33 +261,35 @@ mod tests {
 
     #[test]
     fn full_queue_reports_backpressure() {
-        // a 1-slot queue with a very long flush window: the first job parks
-        // the batcher in its coalescing wait, the second fills the queue,
-        // the third must bounce
+        // a 1-slot queue: submitting without awaiting replies outpaces the
+        // batcher's forward passes, so a submission must bounce
         let cfg = BatchConfig {
             queue_cap: 1,
-            max_batch_rows: 1024,
-            flush_micros: 200_000,
+            ..BatchConfig::default()
         };
         let batcher = Batcher::spawn(service(2), cfg, scis_telemetry::Telemetry::off());
         let trace: Arc<str> = "t".into();
-        let row: ImputeRow = vec![Some(1.0), None];
-        let _first = batcher.submit(vec![row.clone()], trace.clone()).unwrap();
-        // give the batcher a moment to pull the first job into its batch
-        std::thread::sleep(Duration::from_millis(20));
-        let _second = batcher.submit(vec![row.clone()], trace.clone()).unwrap();
+        let rows: Vec<ImputeRow> = vec![vec![Some(1.0), None]; 16];
+        let mut accepted = Vec::new();
         let mut saw_full = false;
-        for _ in 0..50 {
-            match batcher.submit(vec![row.clone()], trace.clone()) {
+        for _ in 0..10_000 {
+            match batcher.submit(rows.clone(), trace.clone()) {
+                Ok(rx) => accepted.push(rx),
                 Err(SubmitError::QueueFull) => {
                     saw_full = true;
                     break;
                 }
-                Ok(_) => continue,
                 Err(e) => panic!("unexpected {:?}", e),
             }
         }
         assert!(saw_full, "bounded queue never reported backpressure");
+        // every accepted job is still answered
+        for rx in accepted {
+            let reply = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("an accepted job must be answered");
+            assert_eq!(reply.result.rows.len(), rows.len());
+        }
         drop(batcher);
     }
 

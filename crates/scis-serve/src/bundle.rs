@@ -27,7 +27,8 @@ use scis_core::dim::AccelConfig;
 use scis_data::dataset::ColumnKind;
 use scis_data::normalize::MinMaxScaler;
 use scis_nn::serialize::ModelIoError;
-use scis_nn::{fnv1a64, mlp_from_str, mlp_to_string, write_atomic, Mlp, MlpSpec};
+use scis_nn::{mlp_from_str, mlp_to_string, write_atomic, Mlp, MlpSpec};
+use scis_tensor::fnv1a64;
 use std::path::Path;
 
 /// Errors from bundle load/save — always typed, never a panic: a malformed

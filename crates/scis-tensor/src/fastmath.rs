@@ -1,8 +1,8 @@
-//! Compute-precision selection and the accelerated transcendental kernels.
+//! Compute-precision selection and the accelerated `exp` kernel.
 //!
 //! The default numeric mode of the whole workspace is pure `f64`: every
-//! kernel accumulates in the order the serial reference fixes, so results
-//! are bit-identical at any thread count *and* across releases. This module
+//! kernel accumulates each output in an order fixed by the data, not by the
+//! partition, so results are bit-identical at any thread count. This module
 //! hosts the opt-in fast path:
 //!
 //! * [`Precision::F32`] — operands of the GEMM / sweep hot loops are stored
@@ -11,21 +11,25 @@
 //!   differ from the default path by the f32 rounding of the *inputs* only;
 //!   they remain bit-identical across thread counts for a fixed mode.
 //! * [`fast_exp`] — a branch-light polynomial `exp` the compiler can
-//!   auto-vectorize across a row, used by the accelerated Sinkhorn sweeps
-//!   (the pipeline's dominant cost is literally millions of `exp` calls).
+//!   auto-vectorize across a row, used by the Sinkhorn sweeps under
+//!   [`Precision::F32`] (the pipeline's dominant cost is literally millions
+//!   of `exp` calls).
 //!
-//! Both are wired through `AccelConfig` upstream and default **off**, per
-//! the repo-wide contract that the default path never moves a bit.
+//! Both are wired through `AccelConfig` upstream and default **off**. The
+//! two precisions run the same kernels — one GEMM, one Sinkhorn sweep loop
+//! — which differ only in operand storage and, in the sweeps, the `exp`.
 
 /// Storage precision of the compute hot loops. Accumulation is always `f64`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
-    /// Pure double precision — the bit-stable default path.
+    /// Pure double precision, with libm `exp` in the Sinkhorn sweeps — the
+    /// default.
     #[default]
     F64,
     /// `f32` operand storage with `f64` accumulation: operands of the GEMM
     /// and Sinkhorn sweep kernels are rounded to `f32` once, then widened
-    /// back per multiply. Opt-in via `AccelConfig::f32_compute`.
+    /// back per multiply, and the sweeps use [`fast_exp`]. Opt-in via
+    /// `AccelConfig::f32_compute`.
     F32,
 }
 
@@ -95,19 +99,6 @@ pub fn fast_exp(x: f64) -> f64 {
     // (even a garbage zero) stays NaN.
     let scale = f64::from_bits(((t.to_bits() as i64).wrapping_add(1023) << 52) as u64);
     p * scale
-}
-
-/// `xs[i] ← fast_exp(xs[i] − shift)` in place, over a whole row of logits.
-///
-/// Split from any summing loop on purpose: with no cross-iteration
-/// dependency the polynomial pipelines across elements (and vectorizes),
-/// where a fused `sum += fast_exp(…)` chain would serialize every element
-/// on the accumulator add.
-#[inline]
-pub fn fast_exp_shifted(xs: &mut [f64], shift: f64) {
-    for x in xs.iter_mut() {
-        *x = fast_exp(*x - shift);
-    }
 }
 
 #[cfg(test)]

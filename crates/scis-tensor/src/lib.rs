@@ -26,6 +26,8 @@
 //! * [`rng`] — deterministic xoshiro256++ PRNG with Gaussian sampling.
 //! * [`stats`] — column statistics (mean, variance, quantiles).
 //! * [`deadline`] — cooperative run-deadline token for graceful shutdown.
+//!
+//! [`fnv1a64`] is the checksum of every on-disk format in the workspace.
 
 pub mod deadline;
 pub mod exec;
@@ -42,3 +44,15 @@ pub use exec::ExecPolicy;
 pub use fastmath::Precision;
 pub use matrix::Matrix;
 pub use rng::{Rng64, RngState};
+
+/// FNV-1a 64-bit hash — the dependency-free checksum of the model,
+/// checkpoint and bundle formats and of spill shards. Not cryptographic;
+/// detects truncation and bit-rot.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}

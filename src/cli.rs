@@ -93,7 +93,7 @@ const TOP_USAGE: &str = "usage: scis [--threads t] [--trace-json p] [--events p]
 subcommands:\n  \
 train INPUT.csv OUTPUT.csv [flags]   train (SSE pipeline) and impute; --save-model writes a model bundle; --shard-rows streams out of core\n  \
 impute INPUT.csv OUTPUT.csv --model PATH [--threads t] [--shard-rows n]   apply a saved model, no training\n  \
-serve --model PATH [--addr host:port] [--threads t] [--queue-cap n] [--batch-rows n] [--flush-micros us] [--access-log p]   online HTTP server\n  \
+serve --model PATH [--addr host:port] [--threads t] [--queue-cap n] [--batch-rows n] [--access-log p]   online HTTP server\n  \
 report FILE.json [...]   summarize run-report / bench / statz JSON artifacts plus heartbeat / access-log JSONL streams";
 
 /// Outcome flags that decide the process exit code.
@@ -987,7 +987,7 @@ fn run_impute(prog: &str, argv: Vec<String>) -> Result<RunFlags, String> {
 fn run_serve(prog: &str, argv: Vec<String>) -> Result<RunFlags, String> {
     const USAGE: &str =
         "usage: scis serve --model PATH [--addr host:port] [--threads t|serial|auto] \
-[--queue-cap n] [--batch-rows n] [--flush-micros us] [--max-body-bytes n] [--access-log path]";
+[--queue-cap n] [--batch-rows n] [--max-body-bytes n] [--access-log path]";
     let mut model = None;
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:7878".into(),
@@ -1012,11 +1012,6 @@ fn run_serve(prog: &str, argv: Vec<String>) -> Result<RunFlags, String> {
             }
             "--queue-cap" => batch.queue_cap = parse_usize("--queue-cap", value()?)?,
             "--batch-rows" => batch.max_batch_rows = parse_usize("--batch-rows", value()?)?,
-            "--flush-micros" => {
-                batch.flush_micros = value()?
-                    .parse()
-                    .map_err(|e| format!("--flush-micros: {}\n{}", e, USAGE))?
-            }
             "--max-body-bytes" => cfg.max_body_bytes = parse_usize("--max-body-bytes", value()?)?,
             "--access-log" => cfg.access_log = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag {}\n{}", other, USAGE)),

@@ -693,7 +693,7 @@ impl NanRowsGain {
 
     fn poisons(&self, row: &[f64]) -> bool {
         let bytes: Vec<u8> = row.iter().flat_map(|v| v.to_le_bytes()).collect();
-        scis_data::shard::fnv1a(&bytes).is_multiple_of(self.every)
+        scis_tensor::fnv1a64(&bytes).is_multiple_of(self.every)
     }
 }
 

@@ -197,6 +197,8 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn sinkhorn_sweeps_are_bit_identical_above_threshold() {
+    use scis_repro::tensor::Precision;
+
     // 200×200 = 40_000 cells clears the parallelism threshold of the solver
     // and of the streamed gradient
     let mut rng = Rng64::seed_from_u64(21);
@@ -204,59 +206,68 @@ fn sinkhorn_sweeps_are_bit_identical_above_threshold() {
     let b = Matrix::from_fn(200, 6, |_, _| rng.uniform());
     let ones = Matrix::ones(200, 6);
     let mask = Matrix::from_fn(200, 6, |_, _| if rng.bernoulli(0.75) { 1.0 } else { 0.0 });
-    let base = SinkhornOptions::default().lambda(0.05).max_iters(300);
+    for precision in [Precision::F64, Precision::F32] {
+        let base = SinkhornOptions::default()
+            .lambda(0.05)
+            .max_iters(300)
+            .precision(precision);
 
-    let cost_s = scis_repro::ot::masked_sq_cost_with(&a, &ones, &b, &ones, ExecPolicy::Serial);
-    let (none, plain) = (EscalationPolicy::none(), AccelContext::plain());
-    let serial_opts = base.clone().exec(ExecPolicy::Serial);
-    let (serial, _) = solve(&cost_s, None, Start::Cold, &serial_opts, &none).unwrap();
-    let plan_s = serial.plan(&cost_s);
-    let (loss_s, grad_s, _) =
-        scis_repro::ot::ms_loss_grad(&a, &b, &mask, &serial_opts, &none, &plain, None).unwrap();
-    for threads in [1usize, 2, 3, 7] {
-        let exec = ExecPolicy::threads(threads);
-        let cost_p = scis_repro::ot::masked_sq_cost_with(&a, &ones, &b, &ones, exec);
-        assert_eq!(cost_s, cost_p, "cost matrix diverged at {threads} threads");
-        let par_opts = base.clone().exec(exec);
-        let (par, _) = solve(&cost_p, None, Start::Cold, &par_opts, &none).unwrap();
-        assert_eq!(
-            bits(&serial.f),
-            bits(&par.f),
-            "f diverged at {threads} threads"
-        );
-        assert_eq!(
-            bits(&serial.g),
-            bits(&par.g),
-            "g diverged at {threads} threads"
-        );
-        assert_eq!(
-            bits(plan_s.as_slice()),
-            bits(par.plan(&cost_p).as_slice()),
-            "plan diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.reg_value.to_bits(),
-            par.reg_value.to_bits(),
-            "reg_value diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.transport_cost.to_bits(),
-            par.transport_cost.to_bits(),
-            "transport_cost diverged at {threads} threads"
-        );
-        assert_eq!(serial.iterations, par.iterations);
-        let (loss_p, grad_p, _) =
-            scis_repro::ot::ms_loss_grad(&a, &b, &mask, &par_opts, &none, &plain, None).unwrap();
-        assert_eq!(
-            loss_s.to_bits(),
-            loss_p.to_bits(),
-            "loss diverged at {threads} threads"
-        );
-        assert_eq!(
-            bits(grad_s.as_slice()),
-            bits(grad_p.as_slice()),
-            "gradient diverged at {threads} threads"
-        );
+        let cost_s = scis_repro::ot::masked_sq_cost_with(&a, &ones, &b, &ones, ExecPolicy::Serial);
+        let (none, plain) = (EscalationPolicy::none(), AccelContext::plain());
+        let serial_opts = base.clone().exec(ExecPolicy::Serial);
+        let (serial, _) = solve(&cost_s, None, Start::Cold, &serial_opts, &none).unwrap();
+        let plan_s = serial.plan(&cost_s);
+        let (loss_s, grad_s, _) =
+            scis_repro::ot::ms_loss_grad(&a, &b, &mask, &serial_opts, &none, &plain, None).unwrap();
+        for threads in [1usize, 2, 3, 7] {
+            let exec = ExecPolicy::threads(threads);
+            let cost_p = scis_repro::ot::masked_sq_cost_with(&a, &ones, &b, &ones, exec);
+            assert_eq!(
+                cost_s, cost_p,
+                "cost matrix diverged at {threads} threads, {precision:?}"
+            );
+            let par_opts = base.clone().exec(exec);
+            let (par, _) = solve(&cost_p, None, Start::Cold, &par_opts, &none).unwrap();
+            assert_eq!(
+                bits(&serial.f),
+                bits(&par.f),
+                "f diverged at {threads} threads, {precision:?}"
+            );
+            assert_eq!(
+                bits(&serial.g),
+                bits(&par.g),
+                "g diverged at {threads} threads, {precision:?}"
+            );
+            assert_eq!(
+                bits(plan_s.as_slice()),
+                bits(par.plan(&cost_p).as_slice()),
+                "plan diverged at {threads} threads, {precision:?}"
+            );
+            assert_eq!(
+                serial.reg_value.to_bits(),
+                par.reg_value.to_bits(),
+                "reg_value diverged at {threads} threads, {precision:?}"
+            );
+            assert_eq!(
+                serial.transport_cost.to_bits(),
+                par.transport_cost.to_bits(),
+                "transport_cost diverged at {threads} threads, {precision:?}"
+            );
+            assert_eq!(serial.iterations, par.iterations);
+            let (loss_p, grad_p, _) =
+                scis_repro::ot::ms_loss_grad(&a, &b, &mask, &par_opts, &none, &plain, None)
+                    .unwrap();
+            assert_eq!(
+                loss_s.to_bits(),
+                loss_p.to_bits(),
+                "loss diverged at {threads} threads, {precision:?}"
+            );
+            assert_eq!(
+                bits(grad_s.as_slice()),
+                bits(grad_p.as_slice()),
+                "gradient diverged at {threads} threads, {precision:?}"
+            );
+        }
     }
 }
 

@@ -12,7 +12,7 @@ use scis_data::normalize::MinMaxScaler;
 use scis_data::{Dataset, Holdout};
 use scis_imputers::tree::{RegressionTree, TreeConfig};
 use scis_ot::{ms_divergence, solve, EscalationPolicy, SinkhornOptions, Start};
-use scis_tensor::{Matrix, Rng64};
+use scis_tensor::{fnv1a64, Matrix, Rng64};
 
 /// Runs `cases` independent trials, each with its own deterministic seed.
 fn trials(cases: u64, mut body: impl FnMut(u64, &mut Rng64)) {
@@ -406,7 +406,7 @@ fn model_text_with_a_forged_count_or_width_is_a_typed_error() {
         .collect();
     // widths are as untrusted as counts, and a checksum does not vouch for
     // them: anyone can compute one
-    let signed = |body: &str| format!("{body}checksum {:x}\n", scis_nn::fnv1a64(body.as_bytes()));
+    let signed = |body: &str| format!("{body}checksum {:x}\n", fnv1a64(body.as_bytes()));
     texts.extend([
         "scis-mlp v1\nin 1000000\ndense 1000000 identity\nparams 0\n".to_string(),
         signed("scis-mlp v2\nin 1000000\ndense 1000000 identity\nparams 0\n"),

@@ -236,7 +236,6 @@ fn saturated_queue_returns_503_then_succeeds_on_retry() {
             batch: BatchConfig {
                 queue_cap: 1,
                 max_batch_rows: 1,
-                flush_micros: 0,
             },
             ..ServerConfig::default()
         },
